@@ -14,12 +14,6 @@ oracles on the two compute-dominant paths of the reproduction:
 * ``probe_simulation_throughput`` — the instrumented metrics-probe
   simulation (registry + per-level sink + trace ring) in queries/s,
   grid vs dense stabbing backend;
-* ``sweep_parallel`` — the sharded process-pool sweep
-  (``workers=4`` over shared memory, :mod:`repro.simulation.shard`)
-  vs the in-process single-pass sweep as baseline, asserted
-  bit-exact.  ``speedup_vs_dense`` here is parallel-vs-serial; it
-  tracks the host's core count (a 1-CPU container honestly reports
-  < 1x — the pool only adds fork and IPC overhead there);
 * ``serving_throughput`` — the serving engine's micro-batched
   admission (:class:`repro.serving.QueryService`, ``max_batch=4096``)
   vs the naive per-query loop (``max_batch=0``: one stab call per
@@ -35,18 +29,7 @@ oracles on the two compute-dominant paths of the reproduction:
   to a scratch file) vs the None-default sink, asserted to produce
   identical buffer counters.  ``speedup_vs_dense`` is
   disabled/enabled wall time — the observability tax, gated at
-  <= 1.10x slowdown by ``tests/accel/test_bench_schema.py``;
-* ``serving_multicore`` — batched serving through the
-  process-per-shard worker topology (``worker_processes=True``, four
-  fork workers, :mod:`repro.serving.workers`) vs the in-process
-  sharded pool at the same K=4, asserted to produce bit-identical
-  per-shard and aggregate counters on every run.
-  ``speedup_vs_dense`` is process-vs-in-process queries/s; like
-  ``sweep_parallel`` it tracks the host, with no floor asserted.  Even
-  a 1-CPU container can report > 1x here — each worker owns its shard
-  outright, so the per-page lock acquisitions the in-process pool pays
-  disappear — but the ratio only becomes a scaling claim on multi-core
-  hosts, where the history ledger records it per host.
+  <= 1.10x slowdown by ``tests/accel/test_bench_schema.py``.
 
 The report is a machine-readable JSON file (schema ``repro-bench/1``,
 see :data:`RECORD_FIELDS` and ``docs/PERFORMANCE.md``) written to the
@@ -283,58 +266,6 @@ def _bench_stack_distance_sweep(
     )
 
 
-def _bench_sweep_parallel(
-    rng: np.random.Generator, n_rects: int, n_queries: int
-) -> dict:
-    """The 4-worker sharded sweep vs the in-process pass as baseline.
-
-    Both paths must return bit-identical tuples — the assert is the
-    benchmark's correctness half.  The timing half is honest about the
-    host: the ratio approaches the worker count only with that many
-    free cores, and drops below 1x on a single-CPU container.
-    """
-    rects = _node_like_rects(rng, n_rects)
-    capacity = 100 if n_rects >= 20_000 else 25
-    desc = pack_description(rects, capacity, "hs")
-    workload = UniformPointWorkload()
-    buffer_sizes = tuple(
-        int(b)
-        for b in np.unique(
-            np.geomspace(2, max(8, int(desc.total_nodes * 0.8)), 8).round()
-        )
-    )
-    n_batches = 10
-    batch_size = max(1, n_queries // n_batches)
-    seed = int(rng.integers(1 << 31))
-    kwargs = dict(n_batches=n_batches, batch_size=batch_size, rng=seed)
-
-    started = time.perf_counter()
-    serial = simulate_sweep(desc, workload, buffer_sizes, **kwargs)
-    dense_seconds = time.perf_counter() - started
-
-    started = time.perf_counter()
-    sharded = simulate_sweep(
-        desc, workload, buffer_sizes, workers=4, **kwargs
-    )
-    seconds = time.perf_counter() - started
-
-    for b, fast, slow in zip(buffer_sizes, sharded, serial):
-        if not _same_result(fast, slow):
-            raise AssertionError(
-                f"sharded sweep diverged from the in-process sweep at "
-                f"buffer size {b}"
-            )
-    return _record(
-        "sweep_parallel",
-        n_rects,
-        n_queries,
-        seconds,
-        dense_seconds,
-        ops=len(buffer_sizes) * n_batches * batch_size,
-        unit="capacity-queries/s",
-    )
-
-
 def _bench_probe_throughput(
     rng: np.random.Generator, n_rects: int, n_queries: int
 ) -> dict:
@@ -542,75 +473,6 @@ def _bench_telemetry_overhead(
     )
 
 
-def _bench_serving_multicore(
-    rng: np.random.Generator, n_rects: int, n_queries: int
-) -> dict:
-    """Process-per-shard serving (4 fork workers) vs in-process shards.
-
-    Both services run K=4 shards over the same tree and the same point
-    sequence; the process topology must produce bit-identical
-    per-shard *and* aggregate buffer counters — the assert runs on
-    every invocation and is the benchmark's correctness half.  The
-    timing half is honest about the host, exactly like
-    ``sweep_parallel``: the K concurrent request loops approach a Kx
-    ratio only with that many free cores, and the batched-IPC overhead
-    drops the ratio below 1x on a single-CPU container — the ledger
-    tracks the per-host ratio, CI records the multi-core numbers.
-    """
-    rects = _node_like_rects(rng, n_rects)
-    capacity = 100 if n_rects >= 20_000 else 25
-    desc = pack_description(rects, capacity, "hs")
-    workload = UniformPointWorkload()
-    buffer_size = max(8, desc.total_nodes // 5)
-    points = workload.sample_points(n_queries, rng)
-    shards = 4
-
-    inproc = QueryService(
-        desc, workload, buffer_size,
-        shards=shards, max_batch=4096, expected_queries=n_queries,
-    )
-    started = time.perf_counter()
-    inproc.process(points)
-    dense_seconds = time.perf_counter() - started
-
-    multicore = QueryService(
-        desc, workload, buffer_size,
-        shards=shards, max_batch=4096, worker_processes=True,
-        expected_queries=n_queries,
-    )
-    try:
-        started = time.perf_counter()
-        multicore.process(points)
-        seconds = time.perf_counter() - started
-
-        worker_shards = [s.as_dict() for s in multicore.pool.shard_stats()]
-        inproc_shards = [s.as_dict() for s in inproc.pool.shard_stats()]
-        if worker_shards != inproc_shards:
-            raise AssertionError(
-                "process-worker per-shard counters diverged from the "
-                "in-process sharded pool"
-            )
-        if (
-            multicore.aggregate_stats().as_dict()
-            != inproc.aggregate_stats().as_dict()
-        ):
-            raise AssertionError(
-                "process-worker aggregate counters diverged from the "
-                "in-process sharded pool"
-            )
-    finally:
-        multicore.close()
-    return _record(
-        "serving_multicore",
-        n_rects,
-        n_queries,
-        seconds,
-        dense_seconds,
-        ops=n_queries,
-        unit="queries/s",
-    )
-
-
 def _record(
     kernel: str,
     n_rects: int,
@@ -641,11 +503,9 @@ _FULL_SIZES = {
     "sim_throughput": (50_000, 20_000),
     "stack_sweep": (50_000, 200_000),
     "probe_throughput": (50_000, 20_000),
-    "sweep_parallel": (50_000, 200_000),
     "serving_throughput": (50_000, 100_000),
     "serving_latency": (50_000, 20_000),
     "telemetry_overhead": (50_000, 100_000),
-    "serving_multicore": (50_000, 100_000),
 }
 
 _SMOKE_SIZES = {
@@ -654,11 +514,9 @@ _SMOKE_SIZES = {
     "sim_throughput": (4_000, 2_000),
     "stack_sweep": (4_000, 10_000),
     "probe_throughput": (4_000, 2_000),
-    "sweep_parallel": (4_000, 10_000),
     "serving_throughput": (4_000, 5_000),
     "serving_latency": (4_000, 2_000),
     "telemetry_overhead": (4_000, 5_000),
-    "serving_multicore": (4_000, 5_000),
 }
 
 
@@ -672,11 +530,9 @@ def build_report(seed: int = 0, smoke: bool = False) -> dict:
         _bench_sim_throughput(rng, *sizes["sim_throughput"]),
         _bench_stack_distance_sweep(rng, *sizes["stack_sweep"]),
         _bench_probe_throughput(rng, *sizes["probe_throughput"]),
-        _bench_sweep_parallel(rng, *sizes["sweep_parallel"]),
         _bench_serving_throughput(rng, *sizes["serving_throughput"]),
         _bench_serving_latency(rng, *sizes["serving_latency"]),
         _bench_telemetry_overhead(rng, *sizes["telemetry_overhead"]),
-        _bench_serving_multicore(rng, *sizes["serving_multicore"]),
     ]
     return {
         "schema": SCHEMA,

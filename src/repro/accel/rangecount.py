@@ -214,12 +214,12 @@ def segmented_left_rank(
     That engine decides every buffer size of the paper's buffer
     curves (Fig. 6, 9 and 11) in one pass via the left-rank identity
     ``D(t) = rank(t) − prev[t] − 1`` for within-segment reuse; the
-    independence of segments is also exactly what lets the sharded
-    process-pool sweep cut the stream on segment-aligned boundaries
-    and stay bit-exact (``docs/PARALLELISM.md``).
+    independence of segments is also what lets the sweep's thread
+    pool cut the stream on segment-aligned boundaries and stay
+    bit-exact.
 
     **Determinism guarantee.**  The result is a pure function of
-    ``(values, segment, block)``: batching, thread count and shard
+    ``(values, segment, block)``: batching, thread count and span
     boundaries chosen by callers never change a single count, because
     every block and every prefix merge computes an exact integer
     dominance count, not an approximation.

@@ -36,18 +36,6 @@ Mechanics:
   pool and stats with the shard's lock, so reaching around the
   sharded pool into ``_pools[s]`` without holding ``_locks[s]``
   raises at the exact ``request()``/counter write.
-* **Grant discipline** (shared memory): the sharded sweep's
-  :class:`~repro.simulation.shard.SharedArray` hands workers
-  :class:`~repro.simulation.shard.WriteGrant` slices.  Two grants
-  overlapping within one phase means two processes may write the same
-  bytes — ``grant()`` is patched to raise at issue time, before a
-  worker ever runs.  ``dispose()`` (close + unlink) is patched to
-  reject any process other than the creator: a forked child inherits
-  ``owner=True`` by copy, and a child unlink would yank the segment
-  out from under every sibling.  A *pid-addressed* grant (the serving
-  worker topology's per-worker stats slots) additionally refuses to
-  map writable in any process other than its addressee —
-  ``WriteGrant.writable`` is patched to check at map time.
 * Ownership lives in a module-level table keyed by ``id(obj)``
   (``BufferStats`` has ``__slots__`` and accepts no new attributes).
   The patched ``__init__`` re-stamps on construction, so id reuse
@@ -285,77 +273,6 @@ def _patch_tracer(cls: type) -> None:
     cls.__init__ = __init__  # type: ignore[misc]
 
 
-def _patch_shard(cls: type) -> None:
-    """Overlapping write grants and non-creator unlinks raise.
-
-    ``grant()`` consults the per-phase ledger *before* delegating: an
-    overlap means two worker processes were about to share writable
-    bytes.  ``dispose()`` compares the calling pid against the
-    recorded creator — ``owner`` is a plain attribute and survives a
-    fork, so the flag alone cannot distinguish parent from child.
-    """
-    original_grant: Callable = cls.grant
-    _save(cls, "grant")
-
-    def grant(self: Any, lo: int, hi: int, *, pid: int | None = None) -> Any:
-        for got_lo, got_hi in self._grants:
-            if lo < got_hi and got_lo < hi:
-                raise SanitizerError(
-                    f"overlapping write grant [{lo}, {hi}) on shared "
-                    f"segment: [{got_lo}, {got_hi}) is already granted "
-                    "this phase — two workers would race on the "
-                    "intersection; release_grants() at the barrier "
-                    "first"
-                )
-        return original_grant(self, lo, hi, pid=pid)
-
-    grant.__wrapped__ = original_grant  # type: ignore[attr-defined]
-    cls.grant = grant  # type: ignore[assignment]
-
-    original_dispose: Callable = cls.dispose
-    _save(cls, "dispose")
-
-    def dispose(self: Any) -> None:
-        if os.getpid() != self.created_pid:
-            raise SanitizerError(
-                f"shared segment disposed from pid {os.getpid()} but "
-                f"created by pid {self.created_pid}; only the creating "
-                "process may unlink (RL012 ownership)"
-            )
-        original_dispose(self)
-
-    dispose.__wrapped__ = original_dispose  # type: ignore[attr-defined]
-    cls.dispose = dispose  # type: ignore[assignment]
-
-
-def _patch_grant(cls: type) -> None:
-    """A pid-addressed grant mapped writable by any other process raises.
-
-    The serving worker topology hands each long-lived shard worker a
-    grant over its own stats slots, addressed to the worker's pid at
-    issue time (the parent knows it after ``start()``).  The unpatched
-    ``writable()`` would happily map the slice in *any* process that
-    holds the (picklable) grant; this check turns the address into an
-    enforced ownership statement — the cross-process sibling of the
-    thread-affinity stamp.
-    """
-    original: Callable = cls.writable
-    _save(cls, "writable")
-
-    def writable(self: Any) -> Any:
-        if self.pid is not None and os.getpid() != self.pid:
-            raise SanitizerError(
-                f"write grant [{self.lo}, {self.hi}) is addressed to "
-                f"pid {self.pid} but was mapped writable from pid "
-                f"{os.getpid()}; a pid-addressed slice belongs to "
-                "exactly one worker process"
-            )
-        return original(self)
-
-    writable.__wrapped__ = original  # type: ignore[attr-defined]
-    cls.writable = writable  # type: ignore[assignment]
-
-
 def _patch_telemetry(cls: type) -> None:
     """Replace the sink's sliding window with a lock-asserting list.
 
@@ -408,15 +325,12 @@ def install() -> None:
     from repro.buffer.sharded import ShardedBufferPool
     from repro.obs.spans import Tracer
     from repro.obs.telemetry import TelemetrySink
-    from repro.simulation.shard import SharedArray, WriteGrant
 
     _patch_stats(BufferStats)
     _patch_pool(BufferPool)
     _patch_sharded(ShardedBufferPool)
     _patch_tracer(Tracer)
     _patch_telemetry(TelemetrySink)
-    _patch_shard(SharedArray)
-    _patch_grant(WriteGrant)
     _installed = True
 
 

@@ -1,32 +1,38 @@
-"""A hash-partitioned, per-shard-locked buffer pool for concurrent serving.
+"""A partitioned, per-shard-locked buffer pool for concurrent serving.
 
 The paper's simulator owns one buffer and one thread, so its
 :class:`~repro.buffer.base.BufferPool` needs no synchronization.  A
 serving engine does not have that luxury: concurrent micro-batches all
-funnel into ``request()``, and a single eviction list (the LRU stack)
+funnel into the buffer, and a single eviction list (the LRU stack)
 serializes every one of them.  :class:`ShardedBufferPool` removes the
-single list: page ids are hash-partitioned across ``K`` independent
-shards, each a plain single-threaded :class:`~repro.buffer.base.
-BufferPool` (any registered policy) guarded by its own lock, so
-requests for pages in different shards never contend.
+single list: page ids are partitioned across ``K`` independent shards
+by ``page % K``, each a plain single-threaded
+:class:`~repro.buffer.base.BufferPool` (any registered policy) guarded
+by its own lock, so requests for pages in different shards never
+contend.
 
 Semantics, stated honestly:
 
 * **K = 1 is the paper's buffer, bit-exactly.**  One shard holds the
-  full capacity and every pinned page; ``request()`` adds one lock
-  acquisition around the identical policy code, so a deterministic
-  replay produces the identical hit/miss/eviction sequence as the
-  unsharded pool — the correctness anchor back to the batch simulator
-  (see ``docs/SERVING.md``).
+  full capacity and every pinned page; the identical policy code runs
+  under one lock, so a deterministic replay produces the identical
+  hit/miss/eviction sequence as the unsharded pool — the correctness
+  anchor back to the batch simulator (see ``docs/SERVING.md``).
 * **K > 1 is a different replacement policy.**  A sharded LRU with
   per-shard capacity ``C/K`` is *not* equivalent to one LRU of
-  capacity ``C`` (a burst of popular pages hashed into one shard can
+  capacity ``C`` (a burst of popular pages homed in one shard can
   evict early while other shards idle).  What *is* exact is the
   decomposition: each shard behaves precisely like a single pool fed
-  the subsequence of requests hashed to it, and the aggregate
-  counters are precisely the shard sums — both are enforced by
+  the subsequence of requests homed to it, and the aggregate counters
+  are precisely the shard sums — both are enforced by
   ``tests/buffer/test_sharded.py`` and by the metrics-export
   validator's sum-reconciliation invariants.
+
+:meth:`~ShardedBufferPool.request_batch` leans on the decomposition:
+it partitions a batch once, keeping stream order within each shard,
+and runs each shard's requests under one acquisition of its lock.  A
+shard's state depends only on the subsequence it sees, so the result
+is the same as requesting the pages one by one.
 
 Pinned pages (§3.3) are partitioned like any other id and occupy
 capacity in their home shard; a pin distribution that overflows some
@@ -48,85 +54,14 @@ import numpy as np
 from .base import BufferPool, BufferStats, PageId, PinningError
 from .policies import POLICIES
 
-__all__ = ["ShardedBufferPool", "build_shard_pool", "plan_shard_split"]
-
-
-def plan_shard_split(
-    capacity: int,
-    shards: int,
-    policy: str,
-    pinned: Iterable[PageId],
-) -> tuple[frozenset[PageId], list[int], list[list[PageId]]]:
-    """Validate and split a pool configuration across ``K`` shards.
-
-    Returns ``(pinned_set, shard_capacities, per_shard_pins)`` where
-    shard ``s`` gets ``capacity // K`` pages plus one of the
-    ``capacity % K`` remainder pages (lowest shards first) and the
-    pins hashed to it.  This is the *single* source of the split: the
-    in-process :class:`ShardedBufferPool` and the process-per-shard
-    topology (``repro.serving.workers``) both build from it, so their
-    per-shard pools are structurally identical by construction.
-    """
-    if shards < 1:
-        raise ValueError("need at least one shard")
-    if capacity < shards:
-        raise ValueError(
-            f"cannot split {capacity} pages across {shards} shards "
-            "(each shard needs at least one page)"
-        )
-    if policy not in POLICIES:
-        raise ValueError(
-            f"unknown policy {policy!r}; choices: {sorted(POLICIES)}"
-        )
-    pinned_set = frozenset(pinned)
-    if len(pinned_set) > capacity:
-        raise PinningError(
-            f"cannot pin {len(pinned_set)} pages in a "
-            f"{capacity}-page buffer"
-        )
-    per_shard_pins: list[list[PageId]] = [[] for _ in range(shards)]
-    for page in pinned_set:
-        per_shard_pins[hash(page) % shards].append(page)
-    base, extra = divmod(capacity, shards)
-    shard_capacities = [base + (1 if s < extra else 0) for s in range(shards)]
-    for s, (shard_capacity, pins) in enumerate(
-        zip(shard_capacities, per_shard_pins)
-    ):
-        if len(pins) > shard_capacity:
-            raise PinningError(
-                f"shard {s} holds {len(pins)} pinned pages but only "
-                f"{shard_capacity} slots; repartition or grow the "
-                "buffer"
-            )
-    return pinned_set, shard_capacities, per_shard_pins
-
-
-def build_shard_pool(
-    shard_capacity: int,
-    pins: Iterable[PageId],
-    policy: str,
-    *,
-    shard: int,
-    rng: int = 0,
-) -> BufferPool:
-    """One shard's policy pool, seeded per shard for ``random``.
-
-    Shard ``s`` of a ``random`` pool draws from an independent
-    generator seeded ``rng + s`` — the same recipe whether the pool
-    lives in this process or in a fork worker, which is what keeps the
-    process topology bit-exact against :class:`ShardedBufferPool`.
-    """
-    if policy == "random":
-        return POLICIES["random"](
-            shard_capacity,
-            pins,
-            rng=np.random.default_rng(int(rng) + shard),
-        )
-    return POLICIES[policy](shard_capacity, pins)
+__all__ = ["ShardedBufferPool"]
 
 
 class ShardedBufferPool:
     """``K`` independent replacement domains behind one ``request()``.
+
+    Page ids are non-negative ints (the level-major node ids every
+    stabber emits); page ``p`` lives in shard ``p % K``.
 
     Parameters
     ----------
@@ -157,31 +92,50 @@ class ShardedBufferPool:
         pinned: Iterable[PageId] = (),
         rng: int = 0,
     ) -> None:
-        pinned_set, shard_capacities, per_shard_pinned = plan_shard_split(
-            capacity, shards, policy, pinned
-        )
+        if shards < 1:
+            raise ValueError("need at least one shard")
+        if capacity < shards:
+            raise ValueError(
+                f"cannot split {capacity} pages across {shards} shards "
+                "(each shard needs at least one page)"
+            )
+        if policy not in POLICIES:
+            raise ValueError(
+                f"unknown policy {policy!r}; choices: {sorted(POLICIES)}"
+            )
+        pinned_set = frozenset(pinned)
+        if len(pinned_set) > capacity:
+            raise PinningError(
+                f"cannot pin {len(pinned_set)} pages in a "
+                f"{capacity}-page buffer"
+            )
+        per_shard_pins: list[list[PageId]] = [[] for _ in range(shards)]
+        for page in pinned_set:
+            per_shard_pins[page % shards].append(page)
+        base, extra = divmod(capacity, shards)
+        pools = []
+        for s, pins in enumerate(per_shard_pins):
+            shard_capacity = base + (1 if s < extra else 0)
+            if len(pins) > shard_capacity:
+                raise PinningError(
+                    f"shard {s} holds {len(pins)} pinned pages but only "
+                    f"{shard_capacity} slots; repartition or grow the "
+                    "buffer"
+                )
+            if policy == "random":
+                shard_rng = np.random.default_rng(int(rng) + s)
+                pool = POLICIES["random"](shard_capacity, pins, rng=shard_rng)
+            else:
+                pool = POLICIES[policy](shard_capacity, pins)
+            pools.append(pool)
         self.capacity = int(capacity)
         self.n_shards = int(shards)
         self.policy = policy
         self.pinned = pinned_set
-        self._pools: tuple[BufferPool, ...] = tuple(
-            build_shard_pool(
-                shard_capacity, pins, policy, shard=s, rng=rng
-            )
-            for s, (shard_capacity, pins) in enumerate(
-                zip(shard_capacities, per_shard_pinned)
-            )
-        )
+        self._pools: tuple[BufferPool, ...] = tuple(pools)
         self._locks: tuple[threading.Lock, ...] = tuple(
             threading.Lock() for _ in range(shards)
         )
-
-    # ------------------------------------------------------------------
-    # Partitioning
-    # ------------------------------------------------------------------
-    def shard_of(self, page: PageId) -> int:
-        """The home shard of ``page`` (stable hash partition)."""
-        return hash(page) % self.n_shards
 
     # ------------------------------------------------------------------
     # The hot path
@@ -193,25 +147,30 @@ class ShardedBufferPool:
         within the shard, under the shard's lock — requests to
         different shards proceed concurrently.
         """
-        shard = hash(page) % self.n_shards
+        shard = page % self.n_shards
         with self._locks[shard]:
             return self._pools[shard].request(page)
 
     def request_batch(self, pages) -> int:
         """Access every page in ``pages`` in order; returns the hit count.
 
-        Equivalent to ``sum(self.request(int(p)) for p in pages)`` —
-        the serving engine's one-call-per-micro-batch entry point, and
-        the exact stream the process-per-shard topology reproduces:
-        within a batch, each shard sees the subsequence of ``pages``
-        hashed to it, in stream order, which is all any per-shard
-        policy pool's state depends on.
+        Equivalent to ``sum(self.request(int(p)) for p in pages)``, but
+        the batch is split once by ``pages % K`` — a boolean-mask take,
+        so each shard's pages keep their stream order — and each
+        shard's requests run under a single acquisition of its lock.
+        A shard's state depends only on the subsequence it sees, in
+        order, so the counters equal the page-at-a-time path's.
         """
+        pages = np.asarray(pages)
+        if self.n_shards == 1:
+            parts = [pages]
+        else:
+            home = pages % self.n_shards
+            parts = [pages[home == s] for s in range(self.n_shards)]
         hits = 0
-        request = self.request
-        for page in pages:
-            if request(int(page)):
-                hits += 1
+        for lock, pool, part in zip(self._locks, self._pools, parts):
+            with lock:
+                hits += sum(map(pool.request, part.tolist()))
         return hits
 
     # ------------------------------------------------------------------
@@ -268,7 +227,7 @@ class ShardedBufferPool:
         return True
 
     def __contains__(self, page: PageId) -> bool:
-        shard = hash(page) % self.n_shards
+        shard = page % self.n_shards
         with self._locks[shard]:
             return page in self._pools[shard]
 

@@ -6,8 +6,6 @@ from .cfd import CFD_SIZE, Airfoil, WING_ELEMENTS, cfd_like
 from .io import (
     load_rects,
     load_rects_npz,
-    open_mmap,
-    save_mmap,
     save_rects,
     save_rects_npz,
 )
@@ -23,8 +21,6 @@ __all__ = [
     "cfd_like",
     "load_rects",
     "load_rects_npz",
-    "open_mmap",
-    "save_mmap",
     "save_rects",
     "save_rects_npz",
     "synthetic_point",

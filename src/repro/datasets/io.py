@@ -1,17 +1,11 @@
 """Reading and writing rectangle data sets.
 
-Three formats:
+Two formats:
 
 * a plain whitespace text format (one rectangle per line:
   ``lo_0 ... lo_{d-1} hi_0 ... hi_{d-1}``) for interchange with other
-  tools and for eyeballing,
-* numpy ``.npz`` for fast exact round-trips, and
-* a single uncompressed ``.npy`` of shape ``(2, n, d)`` for
-  **zero-copy memory-mapped** access (:func:`save_mmap` /
-  :func:`open_mmap`): the sharded sweep's worker processes all map
-  the same file, so a data set is materialised in RAM once — in the
-  OS page cache — no matter how many processes read it (see
-  ``docs/PARALLELISM.md``).
+  tools and for eyeballing, and
+* numpy ``.npz`` for fast exact round-trips.
 """
 
 from __future__ import annotations
@@ -25,8 +19,6 @@ from ..geometry import GeometryError, RectArray
 __all__ = [
     "load_rects",
     "load_rects_npz",
-    "open_mmap",
-    "save_mmap",
     "save_rects",
     "save_rects_npz",
 ]
@@ -88,45 +80,3 @@ def load_rects_npz(path: str | Path) -> RectArray:
     """Read a :class:`RectArray` written by :func:`save_rects_npz`."""
     with np.load(Path(path)) as data:
         return RectArray(data["lo"], data["hi"])
-
-
-def save_mmap(path: str | Path, rects: RectArray) -> Path:
-    """Write a :class:`RectArray` for zero-copy :func:`open_mmap`.
-
-    The file is one uncompressed ``.npy`` array of shape
-    ``(2, n, d)`` — ``[0]`` the ``lo`` planes, ``[1]`` the ``hi``
-    planes — so a single ``mmap`` covers both.  Returns the actual
-    path written (numpy appends ``.npy`` when the suffix is missing).
-    The round-trip is bit-exact: float64 in, the identical float64
-    out, whether loaded through :func:`open_mmap` or plain
-    ``np.load``.
-    """
-    path = Path(path)
-    np.save(path, np.stack([rects.lo, rects.hi]))
-    return path if path.suffix == ".npy" else path.with_suffix(
-        path.suffix + ".npy"
-    )
-
-
-def open_mmap(path: str | Path) -> RectArray:
-    """Open a :func:`save_mmap` file as a memory-mapped RectArray.
-
-    The returned array's ``lo``/``hi`` are *read-only views of the
-    file* (``np.load(..., mmap_mode="r")``): nothing is copied, pages
-    fault in on first touch and are shared through the OS page cache
-    across every process that opens the same path — which is what
-    lets sharded-sweep workers attach to a data set without pickling
-    a single rectangle.  Validation (shape, NaN, ``lo <= hi``) runs
-    on open via :meth:`RectArray.from_readonly`; the mapping lives
-    exactly as long as the returned object (the views keep it alive —
-    no explicit close, ownership transfers to the caller).
-    """
-    path = Path(path)
-    data = np.load(path, mmap_mode="r")
-    if data.ndim != 3 or data.shape[0] != 2:
-        raise GeometryError(
-            f"{path}: expected a (2, n, d) rect array, got {data.shape}"
-        )
-    if data.dtype != np.float64:
-        raise GeometryError(f"{path}: expected float64, got {data.dtype}")
-    return RectArray.from_readonly(data[0], data[1])

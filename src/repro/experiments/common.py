@@ -8,22 +8,12 @@ so the validation experiments can be scaled up toward the paper's
 
 * ``REPRO_SIM_BATCHES``  (default 20, as in the paper)
 * ``REPRO_SIM_QUERIES``  (queries per batch, default 20,000)
-* ``REPRO_SIM_WORKERS``  (default 0: in-process sweeps; ``>= 1``
-  shards ``simulate_sweep`` across that many worker processes —
-  results are bit-identical either way, see ``docs/PARALLELISM.md``)
-* ``REPRO_DATASET_MMAP`` (a directory: cache generated data sets as
-  memory-mapped ``.npy`` files there and serve them zero-copy, so
-  sweep worker processes share one page-cache copy per data set)
 * ``REPRO_PROBE_BATCHES`` / ``REPRO_PROBE_QUERIES`` (defaults 5 /
   2,000: the smoke-sized budget every ``--metrics-out`` probe runs
   with — one definition here instead of one per probe entry point)
 * ``REPRO_SERVE_SHARDS`` (default 1: buffer shards K for the serving
   probes; K=1 reproduces the batch simulator bit-exactly, see
   ``docs/SERVING.md``)
-* ``REPRO_SERVE_WORKERS`` (default 0: in-process serving; ``>= 1``
-  runs the serving probe with that many buffer shards, each in its
-  own fork worker process — overrides ``REPRO_SERVE_SHARDS``, counters
-  bit-identical either way, see ``docs/SERVING.md``)
 * ``REPRO_SERVE_TELEMETRY`` (a path: stream live serving telemetry
   there as ``repro-telemetry/1`` JSONL — the env twin of
   ``runner --telemetry-out``; empty/unset disables the sink)
@@ -42,13 +32,10 @@ from __future__ import annotations
 
 import os
 from functools import lru_cache
-from pathlib import Path
 from typing import Sequence
 
 from ..datasets import (
     cfd_like,
-    open_mmap,
-    save_mmap,
     synthetic_point,
     synthetic_region,
     tiger_like,
@@ -67,10 +54,8 @@ __all__ = [
     "serve_slo",
     "serve_telemetry",
     "serve_telemetry_interval_s",
-    "serve_workers",
     "sim_batches",
     "sim_queries_per_batch",
-    "sim_workers",
 ]
 
 DATASET_SEEDS = {"tiger": 1998, "cfd": 737, "region": 11, "point": 13}
@@ -85,11 +70,6 @@ def sim_batches() -> int:
 def sim_queries_per_batch() -> int:
     """Queries per simulation batch."""
     return int(os.environ.get("REPRO_SIM_QUERIES", "20000"))
-
-
-def sim_workers() -> int:
-    """Worker processes for sweep simulations (0 = in-process)."""
-    return int(os.environ.get("REPRO_SIM_WORKERS", "0"))
 
 
 def probe_budget() -> tuple[int, int]:
@@ -115,23 +95,6 @@ def serve_shards() -> int:
     if shards < 1:
         raise ValueError("REPRO_SERVE_SHARDS must be >= 1")
     return shards
-
-
-def serve_workers() -> int:
-    """Process workers for serving probes (default 0 = in-process).
-
-    ``K >= 1`` serves through ``K`` buffer shards, each owned by a
-    long-lived fork worker process (``QueryService(...,
-    worker_processes=True)``) — this *sets* the shard count, so it
-    overrides ``REPRO_SERVE_SHARDS`` when both are given.  Buffer
-    counters are bit-identical to the in-process sharded pool at the
-    same K (see ``docs/SERVING.md``); platforms without the ``fork``
-    start method silently fall back in-process.
-    """
-    workers = int(os.environ.get("REPRO_SERVE_WORKERS", "0"))
-    if workers < 0:
-        raise ValueError("REPRO_SERVE_WORKERS must be >= 0")
-    return workers
 
 
 def serve_telemetry() -> str | None:
@@ -183,7 +146,14 @@ def serve_slo() -> tuple[float, float, float, int, int]:
     return p99_ms * 1000.0, hit_floor, budget, fast, slow
 
 
-def _generate_dataset(name: str, n: int | None) -> RectArray:
+@lru_cache(maxsize=None)
+def get_dataset(name: str, n: int | None = None) -> RectArray:
+    """A cached, deterministic data set by name.
+
+    ``name`` is one of ``tiger``, ``cfd``, ``region``, ``point``;
+    ``n`` overrides the default size (mandatory for the synthetic
+    families).
+    """
     seed = DATASET_SEEDS.get(name)
     if name == "tiger":
         return tiger_like(rng=seed) if n is None else tiger_like(n, rng=seed)
@@ -198,29 +168,6 @@ def _generate_dataset(name: str, n: int | None) -> RectArray:
             raise ValueError("synthetic point data needs an explicit size")
         return synthetic_point(n, rng=seed)
     raise ValueError(f"unknown dataset {name!r}")
-
-
-@lru_cache(maxsize=None)
-def get_dataset(name: str, n: int | None = None) -> RectArray:
-    """A cached, deterministic data set by name.
-
-    ``name`` is one of ``tiger``, ``cfd``, ``region``, ``point``;
-    ``n`` overrides the default size (mandatory for the synthetic
-    families).  With ``REPRO_DATASET_MMAP`` set to a directory the
-    data set is written there once (keyed by name, size and seed) and
-    served as a zero-copy memory-mapped view — byte-identical to the
-    generated array, but shared across processes via the page cache.
-    """
-    cache_dir = os.environ.get("REPRO_DATASET_MMAP", "")
-    if not cache_dir:
-        return _generate_dataset(name, n)
-    directory = Path(cache_dir)
-    directory.mkdir(parents=True, exist_ok=True)
-    seed = DATASET_SEEDS.get(name)
-    path = directory / f"{name}-{'def' if n is None else n}-s{seed}.npy"
-    if not path.exists():
-        save_mmap(path, _generate_dataset(name, n))
-    return open_mmap(path)
 
 
 @lru_cache(maxsize=None)

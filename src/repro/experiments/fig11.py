@@ -26,7 +26,6 @@ from .common import (
     get_description,
     sim_batches,
     sim_queries_per_batch,
-    sim_workers,
 )
 
 __all__ = ["Fig11Result", "run"]
@@ -122,7 +121,6 @@ def run(
                     pinned_levels=p,
                     n_batches=n_batches,
                     batch_size=batch_size,
-                    workers=sim_workers(),
                 )
                 if feasible
                 else ()

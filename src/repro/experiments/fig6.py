@@ -22,7 +22,6 @@ from .common import (
     get_description,
     sim_batches,
     sim_queries_per_batch,
-    sim_workers,
 )
 
 __all__ = ["Fig6Result", "run"]
@@ -140,7 +139,6 @@ def run(
                     buffer_sizes,
                     n_batches=n_batches,
                     batch_size=batch_size,
-                    workers=sim_workers(),
                 )
             )
             region_curves[loader] = tuple(
@@ -151,7 +149,6 @@ def run(
                     buffer_sizes,
                     n_batches=n_batches,
                     batch_size=batch_size,
-                    workers=sim_workers(),
                 )
             )
         else:

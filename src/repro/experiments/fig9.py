@@ -24,7 +24,6 @@ from .common import (
     get_description,
     sim_batches,
     sim_queries_per_batch,
-    sim_workers,
 )
 
 __all__ = ["Fig9Result", "run"]
@@ -118,7 +117,6 @@ def run(
                     buffers,
                     n_batches=n_batches,
                     batch_size=batch_size,
-                    workers=sim_workers(),
                 )
                 for b, measured in zip(buffers, results):
                     disk[(loader, b)].append(measured.disk_accesses.mean)

@@ -38,8 +38,6 @@ from .common import (
     serve_slo,
     serve_telemetry,
     serve_telemetry_interval_s,
-    serve_workers,
-    sim_workers,
 )
 
 __all__ = [
@@ -241,17 +239,14 @@ def run_sweep_probe(
     *,
     n_batches: int | None = None,
     batch_size: int | None = None,
-    workers: int | None = None,
 ) -> tuple[tuple[SimulationResult, ...], dict[str, Any]]:
     """Run one multi-capacity sweep probe in a single offline pass.
 
     Returns the per-capacity results (ordered like
     ``spec.buffer_sizes``) and the probe-configuration mapping for the
     document's ``sweep.probe`` field.  Deterministic: the sweep's
-    default seed and the cached data sets pin every random stream,
-    and the worker count (``None`` honours ``REPRO_SIM_WORKERS``)
-    never changes a single byte of the results.  The default budget is
-    :func:`~repro.experiments.common.probe_budget`.
+    default seed and the cached data sets pin every random stream.
+    The default budget is :func:`~repro.experiments.common.probe_budget`.
     """
     n_batches, batch_size = _resolve_budget(n_batches, batch_size)
     try:
@@ -273,7 +268,6 @@ def run_sweep_probe(
         batch_size=batch_size,
         warmup_queries=spec.warmup_queries,
         registry=registry,
-        workers=sim_workers() if workers is None else workers,
     )
     probe = spec.as_dict()
     probe["n_batches"] = n_batches
@@ -369,15 +363,6 @@ def run_serve_probe(
     honours ``REPRO_SERVE_SHARDS`` (default 1 — the paper-exact single
     buffer); ``telemetry_out=None`` honours ``REPRO_SERVE_TELEMETRY``.
 
-    ``REPRO_SERVE_WORKERS=K`` (K >= 1) moves the buffer into the
-    process-per-shard topology: the probe serves through K shards,
-    each owned by a fork worker process (overriding
-    ``REPRO_SERVE_SHARDS`` — the worker count *is* the shard count).
-    Counters are bit-identical to the in-process pool at the same K;
-    the probe dict and the telemetry header record
-    ``worker_processes`` so runs are never compared across topologies
-    silently.
-
     With telemetry on, a :class:`~repro.obs.TelemetrySink` samples the
     service every ``REPRO_SERVE_TELEMETRY_INTERVAL_MS`` during the
     run; the stream header carries the probe configuration and the
@@ -392,12 +377,7 @@ def run_serve_probe(
             f"unknown probe workload {spec.workload!r}; "
             f"choices: {sorted(_WORKLOAD_FACTORIES)}"
         ) from None
-    worker_procs = serve_workers()
-    if worker_procs > 0:
-        # The process topology is one worker per shard, so the worker
-        # count sets K — an explicit REPRO_SERVE_SHARDS is overridden.
-        shards = worker_procs
-    elif shards is None:
+    if shards is None:
         shards = serve_shards()
     data = get_dataset(spec.dataset, spec.n)
     desc = get_description(spec.dataset, spec.n, spec.capacity, spec.loader)
@@ -410,7 +390,6 @@ def run_serve_probe(
         max_batch=spec.max_batch,
         max_wait_us=spec.max_wait_us,
         pinned_levels=spec.pinned_levels,
-        worker_processes=worker_procs > 0,
         expected_queries=spec.n_queries,
     )
     key_points = None
@@ -453,7 +432,6 @@ def run_serve_probe(
                 **spec.as_dict(),
                 "shards": shards,
                 "workers": workers,
-                "worker_processes": service.worker_processes,
             },
             model={
                 "hit_ratio": prediction.hit_ratio,
@@ -472,9 +450,7 @@ def run_serve_probe(
         if sink is not None:
             # The generator has drained, so the close-time final tick
             # carries cumulative counters equal to aggregate_stats() —
-            # the reconciliation the export validator enforces.  The
-            # sink must close before the pool: the final tick samples
-            # shard stats, which process workers serve over IPC.
+            # the reconciliation the export validator enforces.
             sink.close()
         service.close()
     if sink is not None:

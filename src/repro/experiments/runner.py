@@ -129,9 +129,7 @@ def main(argv: list[str] | None = None) -> int:
         help=(
             "additionally run each experiment's open-loop serving "
             "probe (Poisson load through the query service; shard "
-            "count from REPRO_SERVE_SHARDS, or REPRO_SERVE_WORKERS=K "
-            "for K process-per-shard fork workers — bit-identical "
-            "counters, true multi-core concurrency) and export latency "
+            "count from REPRO_SERVE_SHARDS) and export latency "
             "percentiles + throughput in the document's 'serving' "
             "section (requires --metrics-out)"
         ),

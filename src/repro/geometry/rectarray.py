@@ -73,45 +73,6 @@ class RectArray:
         return cls(lo, hi)
 
     @classmethod
-    def from_readonly(cls, lo: np.ndarray, hi: np.ndarray) -> "RectArray":
-        """Wrap two already-read-only float64 views **without copying**.
-
-        The zero-copy constructor behind memory-mapped data sets
-        (:func:`repro.datasets.open_mmap`): the same validation as
-        ``__init__`` runs — shape, NaN, ``lo <= hi`` — but the arrays
-        are adopted as-is, so an ``(n, d)`` view of an ``np.load(...,
-        mmap_mode="r")`` file becomes a :class:`RectArray` whose pages
-        are shared through the OS page cache by every process that
-        opens the same file.  Both inputs must already be
-        non-writable float64 ``(n, d)`` arrays; anything else is
-        rejected rather than silently copied, so the zero-copy
-        promise can never quietly degrade.
-        """
-        for name, arr in (("lo", lo), ("hi", hi)):
-            if not isinstance(arr, np.ndarray) or arr.dtype != np.float64:
-                raise GeometryError(f"{name} must be a float64 ndarray")
-            if arr.flags.writeable:
-                raise GeometryError(
-                    f"{name} must be read-only (setflags(write=False)) "
-                    "for the zero-copy constructor"
-                )
-        if lo.ndim != 2 or hi.ndim != 2:
-            raise GeometryError("lo/hi must be 2-D arrays of shape (n, d)")
-        if lo.shape != hi.shape:
-            raise GeometryError(f"shape mismatch: {lo.shape} != {hi.shape}")
-        if lo.shape[1] < 1:
-            raise GeometryError("rectangles must have at least one dimension")
-        if np.isnan(lo).any() or np.isnan(hi).any():
-            raise GeometryError("NaN coordinates are not allowed")
-        if (lo > hi).any():
-            raise GeometryError("lo > hi for at least one rectangle")
-        out = cls.__new__(cls)
-        out.lo = lo
-        out.hi = hi
-        out._hash = None
-        return out
-
-    @classmethod
     def from_points(cls, points: np.ndarray) -> "RectArray":
         """Degenerate rectangles from an ``(n, d)`` array of points."""
         points = np.asarray(points, dtype=np.float64)

@@ -245,56 +245,6 @@ class Tracer:
         with self._lock:
             self._finished.append(span)
 
-    def record_completed(
-        self,
-        name: str,
-        *,
-        start_ns: int,
-        end_ns: int,
-        cpu_ns: int = 0,
-        parent: "Span | None" = None,
-        worker: int | None = None,
-        **attrs: Any,
-    ) -> None:
-        """Record a span that was measured elsewhere — typically in a
-        worker *process* of the sharded sweep.
-
-        Worker processes cannot open spans on the parent's tracer, but
-        ``time.perf_counter_ns`` reads the same ``CLOCK_MONOTONIC``
-        epoch across processes on Linux, so a worker self-times and
-        ships ``(start_ns, end_ns, cpu_ns)`` back with its result; the
-        parent replays them here.  Ids stay deterministic because the
-        parent calls this sequentially in shard order (ids are
-        allocated in call order, exactly like :meth:`_start`).
-
-        ``worker`` is an opaque per-process key (a pid); each distinct
-        key gets its own densified ``thread_index``, so shard spans
-        land on their own lanes in the Chrome-trace export.  With
-        ``parent=None`` the span attaches to the calling thread's
-        innermost open span, as a normal child span would.
-        """
-        node = Span(self, name, attrs)
-        ident = (
-            threading.get_ident() if worker is None else -(int(worker) + 1)
-        )
-        with self._lock:
-            node.span_id = self._next_id
-            self._next_id += 1
-            node.thread_index = self._threads.setdefault(
-                ident, len(self._threads)
-            )
-        if parent is not None:
-            node.parent_id = parent.span_id
-        else:
-            stack = getattr(self._local, "stack", None)
-            node.parent_id = stack[-1].span_id if stack else None
-        node.start_ns = start_ns
-        node.end_ns = end_ns
-        node.cpu_start_ns = 0
-        node.cpu_end_ns = cpu_ns
-        with self._lock:
-            self._finished.append(node)
-
     def finished(self) -> tuple[Span, ...]:
         """Completed spans, ordered by start (= id) order."""
         with self._lock:

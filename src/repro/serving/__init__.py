@@ -15,13 +15,7 @@ the ROADMAP's north-star shape — without changing what is measured:
   generator (Poisson or uniform arrivals, optionally Zipfian-keyed
   query popularity) that plays seeded traffic against a service and
   reports throughput plus p50/p95/p99 latency through the
-  ``repro-metrics`` ``serving`` section;
-* :class:`ProcessShardedBufferPool` — the multi-core topology: each
-  buffer shard lives in its own long-lived fork worker process
-  (``QueryService(..., worker_processes=True)``), bit-exact against
-  the in-process sharded pool for any worker count, with failures
-  surfacing as :class:`ServiceError` instead of hangs — see
-  ``repro.serving.workers``.
+  ``repro-metrics`` ``serving`` section.
 
 The correctness anchor: with one shard and batching disabled, a
 service replaying the simulator's exact query stream produces the
@@ -34,13 +28,10 @@ from __future__ import annotations
 
 from .loadgen import LoadGenerator, LoadReport, zipfian_weights
 from .service import QueryService
-from .workers import ProcessShardedBufferPool, ServiceError
 
 __all__ = [
     "LoadGenerator",
     "LoadReport",
-    "ProcessShardedBufferPool",
     "QueryService",
-    "ServiceError",
     "zipfian_weights",
 ]

@@ -48,8 +48,6 @@ from ..obs.spans import span
 from ..queries.mixed import MixedWorkload
 from ..rtree import TreeDescription
 from ..simulation import build_stabbers
-from ..simulation.shard import fork_available
-from .workers import ProcessShardedBufferPool
 
 __all__ = ["QueryService"]
 
@@ -82,15 +80,6 @@ class QueryService:
     pinned_levels:
         Top tree levels preloaded and pinned (§3.3), as in
         ``simulate()``.
-    worker_processes:
-        When True, run each shard's pool in its own long-lived fork
-        worker process (:class:`~repro.serving.workers.
-        ProcessShardedBufferPool`) so shards execute concurrently on
-        multi-core hosts.  Bit-exact against the in-process pool for
-        any shard count; silently falls back to in-process where the
-        ``fork`` start method is unavailable (same gate as the sharded
-        sweep).  The effective mode is readable back from
-        :attr:`worker_processes`.
     accel:
         Stabber backend (``auto``/``grid``/``dense``), bit-exact.
     expected_queries:
@@ -120,7 +109,6 @@ class QueryService:
         max_batch: int = 4096,
         max_wait_us: float = 500.0,
         pinned_levels: int = 0,
-        worker_processes: bool = False,
         accel: str = "auto",
         expected_queries: int = 0,
         latency: LatencyRecorder | None = None,
@@ -148,16 +136,12 @@ class QueryService:
         self._stabber, self.backend = build_stabbers(
             desc, workload, accel=accel, n_points=expected_queries
         )
-        pinned_ids = range(desc.level_offsets[pinned_levels])
-        self.worker_processes = bool(worker_processes) and fork_available()
-        if self.worker_processes:
-            self.pool = ProcessShardedBufferPool(
-                buffer_size, shards, policy=policy, pinned=pinned_ids
-            )
-        else:
-            self.pool = ShardedBufferPool(
-                buffer_size, shards, policy=policy, pinned=pinned_ids
-            )
+        self.pool = ShardedBufferPool(
+            buffer_size,
+            shards,
+            policy=policy,
+            pinned=range(desc.level_offsets[pinned_levels]),
+        )
         self.latency = latency if latency is not None else LatencyRecorder()
         self.telemetry = telemetry
 
@@ -188,7 +172,7 @@ class QueryService:
             # The CSR ids are the batch's pages in query order,
             # ascending within each query — handing the flat array to
             # the pool is the same stream the per-row loop produced,
-            # and lets a process-worker pool ship one frame per shard.
+            # and lets the pool partition it once per batch.
             self.pool.request_batch(sparse.ids)
             latencies_ns = None
             if arrivals_ns is not None:
@@ -291,19 +275,14 @@ class QueryService:
         self._threads = []
 
     def close(self) -> None:
-        """Stop dispatchers and release pool resources (idempotent).
+        """Stop the dispatchers if running (idempotent).
 
-        The full-lifecycle teardown: :meth:`stop` flushes and joins
-        the dispatcher threads (if running), then a closeable pool —
-        the process-worker topology — has its shard workers reaped.
-        The in-process pool has nothing to release; for it this is
-        exactly :meth:`stop`.
+        The teardown a ``with`` block runs: :meth:`stop` flushes the
+        queue and joins the dispatcher threads.  The pool holds
+        nothing else to release.
         """
         if self.running:
             self.stop()
-        pool_close = getattr(self.pool, "close", None)
-        if pool_close is not None:
-            pool_close()
 
     def __enter__(self) -> QueryService:
         if not self.running:

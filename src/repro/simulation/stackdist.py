@@ -117,13 +117,6 @@ left-rank block (64).  Short segments keep the lock-step merge shallow
 — measured fastest around 512 for streams near 10⁶ accesses."""
 
 
-def _sharding_available() -> bool:
-    """Whether ``workers > 0`` can actually shard (fork platforms)."""
-    from .shard import fork_available
-
-    return fork_available()
-
-
 def simulate_sweep(
     desc: TreeDescription,
     workload,
@@ -140,7 +133,6 @@ def simulate_sweep(
     registry: MetricsRegistry | None = None,
     accel: str = "auto",
     max_threads: int = _MAX_SWEEP_THREADS,
-    workers: int = 0,
 ) -> tuple[SimulationResult, ...]:
     """Simulate every buffer size in one pass over one query stream.
 
@@ -159,12 +151,11 @@ def simulate_sweep(
 
     **Determinism guarantee.**  For a fixed ``(workload, seed)`` the
     returned tuple is a pure function of the simulation parameters:
-    it does not depend on ``max_threads``, on ``workers``, on the
-    ``accel`` backend, or on how the OS schedules threads or worker
-    processes.  Every internal split is over contiguous stream ranges
-    merged in range order, and every floating-point reduction runs on
-    one code path from identical integer counts (see
-    ``docs/PARALLELISM.md`` for the argument, phase by phase).
+    it does not depend on ``max_threads``, on the ``accel`` backend,
+    or on how the OS schedules threads.  Every internal split is over
+    contiguous stream ranges merged in range order, and every
+    floating-point reduction runs on one code path from identical
+    integer counts (see ``docs/PERFORMANCE.md``).
 
     Parameters mirror :func:`~repro.simulation.simulate`, except:
 
@@ -181,12 +172,6 @@ def simulate_sweep(
         Worker threads shared by every phase of the in-process pass —
         stabbing the measurement tail, the segmented left-rank kernel,
         and per-capacity accounting.  Results never depend on it.
-    workers:
-        ``0`` (the default) runs the in-process path above.  ``>= 1``
-        shards the sweep across that many *processes* over shared
-        memory (:mod:`repro.simulation.shard`) — same results, no GIL.
-        Platforms without the ``fork`` start method, and the fallback
-        cases below, silently use the in-process path.
 
     Raises :class:`~repro.buffer.PinningError` when any swept size
     cannot hold the pinned levels — filter infeasible sizes first
@@ -194,7 +179,7 @@ def simulate_sweep(
     ``warmup_queries``) take the shared-stream *replay* path; RANDOM
     and until-full mixed sweeps fall back to per-capacity simulation
     internally.  Results are identical on every route — the route only
-    changes speed (``workers`` applies to the stackdist route only).
+    changes speed.
     """
     if n_batches < 2:
         raise ValueError("need at least two batches for confidence intervals")
@@ -208,8 +193,6 @@ def simulate_sweep(
         raise ValueError(
             f"unknown policy {policy!r}; choices: {sorted(POLICIES)}"
         )
-    if workers < 0:
-        raise ValueError("workers must be >= 0 (0 = in-process sweep)")
     if rng is not None and not isinstance(rng, (int, np.integer)):
         raise TypeError(
             "simulate_sweep needs a reproducible seed (int or None), not a "
@@ -251,7 +234,6 @@ def simulate_sweep(
         n_batches=n_batches,
         batch_size=batch_size,
         mode=mode,
-        workers=workers,
     )
     started = time.perf_counter_ns() if registry is not None else 0
     with root:
@@ -287,25 +269,6 @@ def simulate_sweep(
                 confidence=confidence,
                 seed=seed,
                 accel=accel,
-            )
-        elif workers > 0 and _sharding_available():
-            # Deferred import: shard.py reuses this module's kernels
-            # (the RL008-sanctioned escape hatch for the back edge).
-            from .shard import sharded_sweep
-
-            results = sharded_sweep(
-                desc,
-                workload,
-                buffer_sizes,
-                pinned_count=pinned_count,
-                n_batches=n_batches,
-                batch_size=batch_size,
-                warmup_queries=warmup_queries,
-                warmup_cap=warmup_cap,
-                confidence=confidence,
-                seed=seed,
-                accel=accel,
-                workers=workers,
             )
         else:
             results = _stackdist_sweep(
@@ -637,7 +600,7 @@ def _capacity_bounds(
     Returns ``(batch_queries, access_bounds)``: the cumulative query
     counts delimiting each batch and the matching unpinned-access
     bounds — the only quantities the counting kernels need, shared
-    verbatim by the serial and sharded accounting paths.
+    verbatim by the stack-distance and replay accounting paths.
     """
     batch_queries = warmed + batch_size * np.arange(
         n_batches + 1, dtype=np.int64
@@ -661,10 +624,10 @@ def _assemble_result(
 ) -> SimulationResult:
     """Integer per-batch counts → one ``SimulationResult``.
 
-    The single float path of the sweep: both the serial counts and the
-    merged shard partials are exact int64 per-batch totals, so routing
-    them through this one function makes the two paths bit-identical
-    by construction.  ``resident`` is the distinct unpinned pages seen
+    The single float path of the sweep: the stack-distance and replay
+    counts are both exact int64 per-batch totals, so routing them
+    through this one function makes the two paths bit-identical by
+    construction.  ``resident`` is the distinct unpinned pages seen
     before the first measured access (``ccold`` at the window start) —
     the online buffer's resident count when ``is_full`` was last
     checked.  The replay path passes ``filled`` explicitly (it read

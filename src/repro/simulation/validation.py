@@ -79,7 +79,6 @@ def validate_model(
     policy: str = "lru",
     confidence: float = 0.90,
     rng: np.random.Generator | int | None = None,
-    workers: int = 0,
 ) -> ValidationReport:
     """Compare the buffer model against simulation over buffer sizes.
 
@@ -90,9 +89,6 @@ def validate_model(
     replays the same seeded stream, exactly as the old per-size loop
     did).  Passing a live ``Generator`` keeps the sequential per-size
     loop, since its capacities deliberately share generator state.
-    ``workers >= 1`` shards the sweep across processes — results are
-    bit-identical to ``workers=0`` (the sweep's determinism
-    guarantee), so validation numbers never depend on it.
     """
     predictions = buffer_model_sweep(
         desc, workload, buffer_sizes, pinned_levels=pinned_levels
@@ -123,7 +119,6 @@ def validate_model(
             policy=policy,
             confidence=confidence,
             rng=rng,
-            workers=workers,
         )
     rows = []
     for predicted, measured in zip(predictions, measurements):

@@ -98,13 +98,6 @@ class TestCommittedReport:
         # denominator), so the honest ratio settled near 9x.  The
         # sweep's own wall time is gated by the history ledger.
         assert sweep["speedup_vs_dense"] >= 8.0
-        par = by_kernel["sweep_parallel"]
-        assert par["n_points"] >= 200_000
-        # No speedup floor: the parallel-vs-serial ratio tracks the
-        # host's core count (honestly < 1x on a 1-CPU container); the
-        # record's value is the bit-exactness assertion inside the
-        # benchmark and the ledger tracking the ratio per host.
-        assert par["speedup_vs_dense"] > 0
         probe = by_kernel["probe_simulation_throughput"]
         assert probe["unit"] == "queries/s"
         assert probe["ops_per_s"] > 0
@@ -130,17 +123,6 @@ class TestCommittedReport:
         # The observability tax: a live sink (ticker + JSONL stream)
         # may cost at most 10% of telemetry-free serving throughput.
         assert telemetry["seconds"] <= 1.10 * telemetry["dense_seconds"]
-        multicore = by_kernel["serving_multicore"]
-        assert multicore["n_points"] >= 100_000
-        assert multicore["unit"] == "queries/s"
-        # No speedup floor, same policy as sweep_parallel: the
-        # process-vs-in-process ratio tracks the host (lock-free
-        # worker-owned shards can beat the in-process pool even on one
-        # CPU, but the ratio is only a scaling claim on multi-core
-        # hosts).  The record's value is the per-shard bit-exactness
-        # assertion inside the benchmark and the ledger tracking the
-        # ratio per host.
-        assert multicore["speedup_vs_dense"] > 0
 
 
 class TestBuildReport:
@@ -158,7 +140,6 @@ class TestBuildReport:
                 bench._bench_serving_throughput(_rng(rng_seed), 200, 300),
                 bench._bench_serving_latency(_rng(rng_seed), 200, 300),
                 bench._bench_telemetry_overhead(_rng(rng_seed), 200, 300),
-                bench._bench_serving_multicore(_rng(rng_seed), 200, 300),
             ],
         }
         assert bench.validate_report(report) == []

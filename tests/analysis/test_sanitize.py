@@ -13,7 +13,6 @@ environment-requested patches back before returning.
 
 from __future__ import annotations
 
-import os
 import threading
 
 import pytest
@@ -30,7 +29,6 @@ from repro.analysis.sanitize import (
 from repro.buffer.base import BufferStats
 from repro.buffer.lru import LRUBuffer
 from repro.obs.spans import Tracer
-from repro.simulation.shard import SharedArray, fork_available
 
 _ENV_INSTALLED = sanitize.is_installed()
 needs_plain_world = pytest.mark.skipif(
@@ -163,109 +161,6 @@ class TestTracerDiscipline:
         with tracer._lock:
             tracer._finished.append(object())
         assert len(tracer._finished) == 1
-
-
-class TestSharedMemoryDiscipline:
-    def test_disjoint_grants_stay_legal(self, sanitizer):
-        arr = SharedArray.create(100, np.int64)
-        try:
-            arr.grant(0, 50)
-            arr.grant(50, 100)
-        finally:
-            arr.dispose()
-
-    def test_overlapping_grant_raises(self, sanitizer):
-        # The seeded violation: two workers about to share writable
-        # bytes.  Silent without the sanitizer, loud with it — and
-        # loud *at issue time*, before any worker runs.
-        arr = SharedArray.create(100, np.int64)
-        try:
-            arr.grant(0, 60)
-            with pytest.raises(SanitizerError, match="overlap"):
-                arr.grant(59, 100)
-        finally:
-            arr.dispose()
-
-    def test_release_grants_resets_the_phase(self, sanitizer):
-        arr = SharedArray.create(100, np.int64)
-        try:
-            arr.grant(0, 100)
-            arr.release_grants()  # phase barrier: all futures done
-            arr.grant(0, 100)  # re-granting the same range is fine now
-        finally:
-            arr.dispose()
-
-    def test_non_creator_dispose_raises(self, sanitizer):
-        # A forked child copies owner=True, so the flag alone cannot
-        # stop a child unlink; the pid check can.  Simulate the child
-        # by faking the recorded creator pid.
-        arr = SharedArray.create(10, np.int64)
-        arr.created_pid = os.getpid() + 1
-        with pytest.raises(SanitizerError, match="pid"):
-            arr.dispose()
-        arr.created_pid = os.getpid()
-        arr.dispose()
-
-    def test_pid_addressed_grant_refuses_foreign_process(self, sanitizer):
-        # The serving pool addresses each stats grant to one worker
-        # pid; materializing it anywhere else is the cross-process
-        # analogue of a cross-thread write.
-        arr = SharedArray.create(10, np.int64)
-        try:
-            foreign = arr.grant(0, 5, pid=os.getpid() + 1)
-            with pytest.raises(SanitizerError, match="pid"):
-                foreign.writable()
-            ours = arr.grant(5, 10, pid=os.getpid())
-            ours.writable()[:] = 7  # addressed to us: fine
-        finally:
-            arr.release_grants()
-            arr.dispose()
-
-    def test_unaddressed_grant_stays_legal(self, sanitizer):
-        # pid=None keeps the PR-7 sweep semantics: any process that
-        # holds the grant may materialize it.
-        arr = SharedArray.create(10, np.int64)
-        try:
-            arr.grant(0, 10).writable()[:] = 1
-        finally:
-            arr.release_grants()
-            arr.dispose()
-
-    @needs_plain_world
-    def test_overlapping_grant_is_silent_without_sanitizer(self):
-        assert not sanitize.is_installed()
-        arr = SharedArray.create(100, np.int64)
-        try:
-            arr.grant(0, 60)
-            arr.grant(59, 100)  # silent: exactly the race RL009 fears
-        finally:
-            arr.dispose()
-
-    @pytest.mark.skipif(
-        not fork_available(), reason="sharded sweep needs fork"
-    )
-    def test_sharded_sweep_runs_clean_under_sanitizer(self, sanitizer):
-        # The real workload: a 2-worker sweep issues dozens of grants
-        # across three phases and disposes five segments — all of it
-        # must satisfy the grant/ownership discipline.
-        from repro.packing import pack_description
-        from repro.queries import UniformPointWorkload
-        from repro.simulation import simulate_sweep
-        from tests.conftest import random_rects
-
-        rects = random_rects(np.random.default_rng(7), 400, max_side=0.04)
-        desc = pack_description(rects, capacity=16, ordering="hs")
-        results = simulate_sweep(
-            desc,
-            UniformPointWorkload(),
-            (2, 9),
-            n_batches=2,
-            batch_size=100,
-            warmup_queries=100,
-            rng=3,
-            workers=2,
-        )
-        assert len(results) == 2
 
 
 class TestShardLockGuards:

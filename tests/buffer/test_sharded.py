@@ -1,7 +1,9 @@
-"""Sharded buffer pool: partitioning, K=1 exactness, sum reconciliation."""
+"""Sharded buffer pool: partitioning, K=1 exactness, sum reconciliation,
+and the batch path against the page-at-a-time path."""
 
 from __future__ import annotations
 
+import sys
 import threading
 
 import numpy as np
@@ -134,6 +136,33 @@ class TestDecomposition:
         assert pool.unpinned_capacity == 11
 
 
+class TestBatchMatchesPerPage:
+    """``request_batch`` == one ``request()`` per page, shard by shard."""
+
+    # Uneven chunk boundaries: a single page, a short run, a long one.
+    CUTS = (0, 1, 38, 738, 743, 2243, 4000)
+
+    @pytest.mark.parametrize("shards", [1, 2, 3, 8])
+    @pytest.mark.parametrize("policy", sorted(POLICIES))
+    @pytest.mark.parametrize("pinned", [(), (0, 7, 13, 201)])
+    def test_batch_equals_per_page(self, shards, policy, pinned):
+        rng = np.random.default_rng(11)
+        pages = rng.integers(0, 400, self.CUTS[-1], dtype=np.int64)
+        batched = ShardedBufferPool(48, shards, policy=policy, pinned=pinned)
+        single = ShardedBufferPool(48, shards, policy=policy, pinned=pinned)
+        batch_hits = sum(
+            batched.request_batch(pages[lo:hi])
+            for lo, hi in zip(self.CUTS, self.CUTS[1:])
+        )
+        single_hits = sum(single.request(int(page)) for page in pages)
+        assert [s.as_dict() for s in batched.shard_stats()] == [
+            s.as_dict() for s in single.shard_stats()
+        ]
+        assert batch_hits == single_hits
+        assert batched.aggregate_stats().hits == single_hits
+        assert len(batched) == len(single)
+
+
 class TestConcurrency:
     def test_concurrent_totals_reconcile(self):
         pool = ShardedBufferPool(64, 8)
@@ -163,3 +192,38 @@ class TestConcurrency:
         per = pool.shard_stats()
         assert agg.requests == sum(s.requests for s in per)
         assert agg.evictions == sum(s.evictions for s in per)
+
+    def test_concurrent_batches_reconcile(self):
+        # request_batch holds each shard's lock for a whole part of a
+        # batch; a lost update under contention would break the totals.
+        pool = ShardedBufferPool(64, 8)
+        n_threads, n_batches, batch = 4, 200, 50
+        errors: list[Exception] = []
+
+        def worker(seed: int) -> None:
+            rng = np.random.default_rng(seed)
+            try:
+                for _ in range(n_batches):
+                    pool.request_batch(rng.integers(0, 1000, batch))
+            except Exception as exc:  # pragma: no cover - failure path
+                errors.append(exc)
+
+        threads = [
+            threading.Thread(target=worker, args=(s,))
+            for s in range(n_threads)
+        ]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert not errors
+        agg = pool.aggregate_stats()
+        assert agg.requests == n_threads * n_batches * batch
+        assert agg.hits + agg.misses == agg.requests
+        assert len(pool) == pool.capacity

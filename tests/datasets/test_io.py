@@ -4,12 +4,7 @@ import numpy as np
 import pytest
 
 from repro.datasets import load_rects, save_rects
-from repro.datasets.io import (
-    load_rects_npz,
-    open_mmap,
-    save_mmap,
-    save_rects_npz,
-)
+from repro.datasets.io import load_rects_npz, save_rects_npz
 from repro.geometry import GeometryError, RectArray
 from tests.conftest import random_rects
 
@@ -71,70 +66,3 @@ class TestNpzFormat:
         loaded = load_rects_npz(path)
         assert np.array_equal(loaded.lo, arr.lo)
         assert np.array_equal(loaded.hi, arr.hi)
-
-
-class TestMmapFormat:
-    def test_roundtrip_exact(self, rng, tmp_path):
-        arr = random_rects(rng, 200)
-        written = save_mmap(tmp_path / "rects", arr)
-        assert written.suffix == ".npy"
-        loaded = open_mmap(written)
-        assert np.array_equal(loaded.lo, arr.lo)
-        assert np.array_equal(loaded.hi, arr.hi)
-
-    def test_views_are_memory_mapped(self, rng, tmp_path):
-        arr = random_rects(rng, 30)
-        path = save_mmap(tmp_path / "rects.npy", arr)
-        loaded = open_mmap(path)
-        # Zero-copy: the views are backed by the file mapping itself.
-        assert isinstance(loaded.lo.base, np.memmap)
-        assert isinstance(loaded.hi.base, np.memmap)
-
-    def test_views_are_readonly(self, rng, tmp_path):
-        loaded = open_mmap(save_mmap(tmp_path / "r", random_rects(rng, 5)))
-        with pytest.raises(ValueError):
-            loaded.lo[0, 0] = 0.0
-        with pytest.raises(ValueError):
-            loaded.hi[:] = 1.0
-
-    def test_roundtrip_3d(self, rng, tmp_path):
-        lo = rng.random((10, 3))
-        arr = RectArray(lo, lo + 0.1)
-        loaded = open_mmap(save_mmap(tmp_path / "r3", arr))
-        assert loaded.dim == 3
-        assert np.array_equal(loaded.lo, arr.lo)
-
-    def test_rejects_wrong_shape(self, tmp_path):
-        path = tmp_path / "bad.npy"
-        np.save(path, np.zeros((3, 4)))
-        with pytest.raises(GeometryError, match="rect array"):
-            open_mmap(path)
-        np.save(path, np.zeros((3, 4, 2)))
-        with pytest.raises(GeometryError, match="rect array"):
-            open_mmap(path)
-
-    def test_rejects_wrong_dtype(self, tmp_path):
-        path = tmp_path / "bad.npy"
-        np.save(path, np.zeros((2, 4, 2), dtype=np.float32))
-        with pytest.raises(GeometryError, match="float64"):
-            open_mmap(path)
-
-    def test_rejects_invalid_rects(self, rng, tmp_path):
-        # Validation runs on open: lo > hi in the file must not
-        # produce a silently-broken RectArray.
-        path = tmp_path / "inverted.npy"
-        np.save(path, np.stack([np.ones((3, 2)), np.zeros((3, 2))]))
-        with pytest.raises(GeometryError):
-            open_mmap(path)
-
-    def test_from_readonly_requires_readonly(self, rng):
-        # The zero-copy constructor refuses writable arrays: it skips
-        # the defensive copy *because* the caller froze the buffers.
-        lo = rng.random((4, 2))
-        hi = lo + 0.1
-        with pytest.raises(GeometryError, match="read-only"):
-            RectArray.from_readonly(lo, hi)
-        lo.setflags(write=False)
-        hi.setflags(write=False)
-        arr = RectArray.from_readonly(lo, hi)
-        assert arr.lo is lo and arr.hi is hi

@@ -1,6 +1,5 @@
 """Tests for the experiment harness infrastructure."""
 
-import numpy as np
 import pytest
 
 from repro.experiments.common import (
@@ -11,7 +10,6 @@ from repro.experiments.common import (
     serve_shards,
     sim_batches,
     sim_queries_per_batch,
-    sim_workers,
 )
 
 
@@ -42,57 +40,18 @@ class TestDatasets:
         assert a.node_counts == (1, 10, 100)
 
 
-class TestMmapCache:
-    @pytest.fixture()
-    def mmap_dir(self, monkeypatch, tmp_path):
-        # The lru_cache would otherwise serve whichever mode ran
-        # first; clear it around the env flip so both paths are real.
-        get_dataset.cache_clear()
-        monkeypatch.setenv("REPRO_DATASET_MMAP", str(tmp_path))
-        yield tmp_path
-        get_dataset.cache_clear()
-
-    def test_served_dataset_is_memory_mapped(self, mmap_dir):
-        data = get_dataset("region", 500)
-        assert isinstance(data.lo.base, np.memmap)
-        assert not data.lo.flags.writeable
-        files = list(mmap_dir.glob("*.npy"))
-        assert len(files) == 1
-        assert "region-500" in files[0].name
-
-    def test_byte_identical_to_generated(self, mmap_dir, monkeypatch):
-        mapped = get_dataset("point", 300)
-        get_dataset.cache_clear()
-        monkeypatch.delenv("REPRO_DATASET_MMAP")
-        plain = get_dataset("point", 300)
-        assert np.array_equal(mapped.lo, plain.lo)
-        assert np.array_equal(mapped.hi, plain.hi)
-
-    def test_file_written_once(self, mmap_dir):
-        get_dataset("region", 400)
-        (path,) = mmap_dir.glob("*.npy")
-        stamp = path.stat().st_mtime_ns
-        get_dataset.cache_clear()
-        get_dataset("region", 400)  # reuses the file, no rewrite
-        assert path.stat().st_mtime_ns == stamp
-
-
 class TestEnvKnobs:
     def test_defaults(self, monkeypatch):
         monkeypatch.delenv("REPRO_SIM_BATCHES", raising=False)
         monkeypatch.delenv("REPRO_SIM_QUERIES", raising=False)
-        monkeypatch.delenv("REPRO_SIM_WORKERS", raising=False)
         assert sim_batches() == 20
         assert sim_queries_per_batch() == 20000
-        assert sim_workers() == 0
 
     def test_overrides(self, monkeypatch):
         monkeypatch.setenv("REPRO_SIM_BATCHES", "5")
         monkeypatch.setenv("REPRO_SIM_QUERIES", "123")
-        monkeypatch.setenv("REPRO_SIM_WORKERS", "4")
         assert sim_batches() == 5
         assert sim_queries_per_batch() == 123
-        assert sim_workers() == 4
 
     def test_probe_budget_defaults(self, monkeypatch):
         monkeypatch.delenv("REPRO_PROBE_BATCHES", raising=False)
@@ -121,17 +80,6 @@ class TestEnvKnobs:
         monkeypatch.setenv("REPRO_SERVE_SHARDS", "0")
         with pytest.raises(ValueError, match="SHARDS"):
             serve_shards()
-
-    def test_serve_workers(self, monkeypatch):
-        from repro.experiments.common import serve_workers
-
-        monkeypatch.delenv("REPRO_SERVE_WORKERS", raising=False)
-        assert serve_workers() == 0  # default: in-process pool
-        monkeypatch.setenv("REPRO_SERVE_WORKERS", "4")
-        assert serve_workers() == 4
-        monkeypatch.setenv("REPRO_SERVE_WORKERS", "-1")
-        with pytest.raises(ValueError, match="WORKERS"):
-            serve_workers()
 
     def test_serve_slo_windows(self, monkeypatch):
         from repro.experiments.common import serve_slo

@@ -12,7 +12,7 @@ paper's claims need:
   band called out.  A terminal aggregate can *equal* the prediction
   by luck; the timeline shows the LRU actually converging to it.
 * **Per-shard imbalance** — final cumulative requests and hit ratio
-  per shard.  Hash partitioning trades fidelity for contention
+  per shard.  Partitioning by page id trades fidelity for contention
   (``docs/SERVING.md``); the spread quantifies the price this run
   paid.
 * **SLO burn** — the monitor's final error-budget accounting: bad

@@ -2,11 +2,10 @@
 """Shard-count sweep: hit-ratio fidelity vs the paper's single-LRU model.
 
 The paper's Eq. 5/6 buffer model (and its Figure 6 ED curves) assume
-**one** LRU buffer of ``B`` pages.  The serving engine hash-partitions
-that capacity over K shards (``docs/SERVING.md``), and PR 10's process
-topology makes K the degree of multi-core parallelism — so the
-operative question became: *how much model fidelity does each extra
-shard cost?*
+**one** LRU buffer of ``B`` pages.  The serving engine partitions that
+capacity over K shards by ``page % K`` (``docs/SERVING.md``), so the
+operative question is: *how much model fidelity does each extra shard
+cost?*
 
 This tool answers it with data.  For each K in 1..``--max-shards`` it
 replays one experiment's serving probe (same tree, workload, buffer
@@ -17,7 +16,7 @@ chart, per K:
 
 * the aggregate hit ratio against the Eq. 5/6 single-LRU prediction
   carried in each stream's header (the paper's §4 bar is 2% absolute);
-* the per-shard spread (max - min shard hit ratio): hash partitioning
+* the per-shard spread (max - min shard hit ratio): partitioning
   splits the hot set unevenly, and the spread is the price paid;
 * measured disk accesses per query vs the model's ED.
 
@@ -31,13 +30,7 @@ Usage::
 
     python tools/shard_sweep.py fig6
     python tools/shard_sweep.py fig9 --max-shards 8 --queries 2000
-    python tools/shard_sweep.py fig6 --process-workers   # K fork workers
     python tools/shard_sweep.py fig6 --report docs/examples/shard_sweep_fig6.txt
-
-``--process-workers`` serves each K through K fork worker processes
-(:class:`repro.serving.ProcessShardedBufferPool`); counters are
-bit-identical to the in-process pool, so the fidelity chart is the
-same — the flag exists to prove exactly that on real streams.
 """
 
 from __future__ import annotations
@@ -57,7 +50,6 @@ except ImportError:  # plain checkout: python tools/shard_sweep.py
 
 from repro.experiments.probes import SERVE_PROBES, run_serve_probe
 from repro.obs.telemetry import read_telemetry
-from repro.simulation.shard import fork_available
 
 __all__ = ["main", "render", "sweep"]
 
@@ -72,7 +64,6 @@ def sweep(
     out_dir: str,
     *,
     queries: int | None = None,
-    process_workers: bool = False,
 ) -> list[dict]:
     """Run the probe at each K, returning one summary row per K.
 
@@ -89,21 +80,7 @@ def sweep(
     rows: list[dict] = []
     for shards in range(1, max_shards + 1):
         path = os.path.join(out_dir, f"shards-{shards}.jsonl")
-        env_key = "REPRO_SERVE_WORKERS"
-        saved = os.environ.get(env_key)
-        try:
-            if process_workers:
-                # The worker count *is* the shard count in the process
-                # topology; the probe reads it from the environment.
-                os.environ[env_key] = str(shards)
-            else:
-                os.environ.pop(env_key, None)
-            run_serve_probe(spec, shards=shards, telemetry_out=path)
-        finally:
-            if saved is None:
-                os.environ.pop(env_key, None)
-            else:
-                os.environ[env_key] = saved
+        run_serve_probe(spec, shards=shards, telemetry_out=path)
         header, ticks = read_telemetry(path)
         final = ticks[-1]["cumulative"]
         agg = final["aggregate"]
@@ -116,7 +93,6 @@ def sweep(
         rows.append(
             {
                 "shards": shards,
-                "worker_processes": header["config"]["worker_processes"],
                 "model_hit_ratio": header["model"]["hit_ratio"],
                 "model_ed": header["model"]["disk_accesses"],
                 "hit_ratio": agg["hits"] / agg["requests"],
@@ -144,12 +120,7 @@ def render(experiment: str, rows: list[dict], width: int = 24) -> str:
     lines: list[str] = []
     model_hr = rows[0]["model_hit_ratio"]
     model_ed = rows[0]["model_ed"]
-    topology = (
-        "process-per-shard fork workers"
-        if rows[0]["worker_processes"]
-        else "in-process sharded pool"
-    )
-    lines.append(f"shard-count sweep: {experiment} ({topology})")
+    lines.append(f"shard-count sweep: {experiment}")
     lines.append("=" * 66)
     lines.append(
         f"single-LRU model (Eq. 5/6): hit ratio {model_hr:.4f}, "
@@ -189,7 +160,7 @@ def render(experiment: str, rows: list[dict], width: int = 24) -> str:
     )
     lines.append(
         f"partitioning price: worst per-shard spread {worst_spread:.4f} "
-        f"(hash split of the hot set)"
+        f"(page % K split of the hot set)"
     )
     lines.append(
         f"counters: {rows[0]['requests']} node accesses per run, "
@@ -220,10 +191,6 @@ def main(argv: list[str] | None = None) -> int:
         help="override the probe's query count (default: the spec's)",
     )
     parser.add_argument(
-        "--process-workers", action="store_true",
-        help="serve each K through K fork worker processes",
-    )
-    parser.add_argument(
         "--telemetry-dir", default=None, metavar="DIR",
         help="keep the per-K telemetry streams here (default: temp dir)",
     )
@@ -238,22 +205,18 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     if args.max_shards < 1:
         parser.error("--max-shards must be >= 1")
-    if args.process_workers and not fork_available():
-        print("process workers need the fork start method", file=sys.stderr)
-        return 1
 
     if args.telemetry_dir is not None:
         os.makedirs(args.telemetry_dir, exist_ok=True)
         rows = sweep(
             args.experiment, args.max_shards, args.telemetry_dir,
-            queries=args.queries, process_workers=args.process_workers,
+            queries=args.queries,
         )
     else:
         with tempfile.TemporaryDirectory() as tmp:
             rows = sweep(
                 args.experiment, args.max_shards, tmp,
                 queries=args.queries,
-                process_workers=args.process_workers,
             )
     text = render(args.experiment, rows, width=args.width)
     print(text)
