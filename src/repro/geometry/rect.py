@@ -59,8 +59,8 @@ class Rect:
         if not lo:
             raise GeometryError("rectangles must have at least one dimension")
         for k, (a, b) in enumerate(zip(lo, hi)):
-            if math.isnan(a) or math.isnan(b):
-                raise GeometryError(f"NaN coordinate on axis {k}")
+            if not (math.isfinite(a) and math.isfinite(b)):
+                raise GeometryError(f"non-finite coordinate on axis {k}")
             if a > b:
                 raise GeometryError(f"lo > hi on axis {k}: {a} > {b}")
 

@@ -46,8 +46,8 @@ class RectArray:
             raise GeometryError(f"shape mismatch: {lo.shape} != {hi.shape}")
         if lo.shape[1] < 1:
             raise GeometryError("rectangles must have at least one dimension")
-        if np.isnan(lo).any() or np.isnan(hi).any():
-            raise GeometryError("NaN coordinates are not allowed")
+        if not (np.isfinite(lo).all() and np.isfinite(hi).all()):
+            raise GeometryError("non-finite coordinates are not allowed")
         if (lo > hi).any():
             raise GeometryError("lo > hi for at least one rectangle")
         lo.setflags(write=False)

@@ -34,7 +34,7 @@ def tat_tree(
     ``items[i]`` defaults to the input index ``i``, matching the packed
     loaders.
     """
-    rects = list(data) if not isinstance(data, RectArray) else list(data)
+    rects = list(data)
     if not rects:
         raise GeometryError("cannot load an empty data set")
     if items is not None and len(items) != len(rects):

@@ -16,7 +16,8 @@ from __future__ import annotations
 
 from typing import Callable, Sequence
 
-# split functions operate on raw corner tuples; no Rect needed here
+import numpy as np
+
 from .node import Entry
 
 __all__ = [
@@ -53,110 +54,118 @@ def quadratic_split(
     entries — Guttman's tie-break chain.  Whenever one group must absorb
     all remaining entries to reach ``min_fill``, they are assigned
     wholesale.
+
+    Both steps run on numpy arrays of the corners, one row per axis.
+    Each area is the product of the per-axis widths taken left to right
+    and each waste is ``(union - area_i) - area_j``, so every area,
+    waste and enlargement equals the one a scalar loop over the entries
+    computes.  Ties go to the first pair in row-major order and to the
+    first remaining entry in input order, which makes the groups
+    identical to the scalar loop's, not merely as good.  This needs
+    finite coordinates, which :class:`~repro.geometry.Rect` guarantees:
+    an infinite one would put ``inf - inf = NaN`` into the areas, which
+    ``argmax`` picks and a ``>`` scan never does.
     """
     _validate_split_input(entries, min_fill)
-    # Work on raw corner tuples: splits are O(n²) in the node capacity
-    # and allocating Rect objects in these loops dominates TAT loading.
-    los = [e.rect.lo for e in entries]
-    his = [e.rect.hi for e in entries]
     n = len(entries)
-    areas = [_area(lo, hi) for lo, hi in zip(los, his)]
+    # Transposed corners, (d, n): one contiguous row per axis.
+    los = np.array([e.rect.lo for e in entries]).T.copy()
+    his = np.array([e.rect.hi for e in entries]).T.copy()
+    areas = _product(his - los)
 
-    # PickSeeds: maximise d = area(J) - area(E1) - area(E2).
-    best_waste = -float("inf")
-    seed_a, seed_b = 0, 1
-    for i in range(n - 1):
-        lo_i, hi_i, area_i = los[i], his[i], areas[i]
-        for j in range(i + 1, n):
-            waste = _union_area(lo_i, hi_i, los[j], his[j]) - area_i - areas[j]
-            if waste > best_waste:
-                best_waste = waste
-                seed_a, seed_b = i, j
+    # PickSeeds: maximise d = area(J) - area(E1) - area(E2) over the
+    # pairs i < j, in row-major order so the first maximum wins.
+    i_idx, j_idx = np.triu_indices(n, 1)
+    union = _product(
+        np.maximum(his[:, i_idx], his[:, j_idx])
+        - np.minimum(los[:, i_idx], los[:, j_idx])
+    )
+    best = int(((union - areas[i_idx]) - areas[j_idx]).argmax())
+    seed_a, seed_b = int(i_idx[best]), int(j_idx[best])
 
     group_a = [seed_a]
     group_b = [seed_b]
-    cover_a_lo, cover_a_hi = los[seed_a], his[seed_a]
-    cover_b_lo, cover_b_hi = los[seed_b], his[seed_b]
-    area_a = areas[seed_a]
-    area_b = areas[seed_b]
-    remaining = [k for k in range(n) if k != seed_a and k != seed_b]
+    cover_a_lo, cover_a_hi = los[:, seed_a].copy(), his[:, seed_a].copy()
+    cover_b_lo, cover_b_hi = los[:, seed_b].copy(), his[:, seed_b].copy()
+    area_a = float(areas[seed_a])
+    area_b = float(areas[seed_b])
+    # Enlargement of each group's cover by every entry; assigned entries
+    # are masked out of PickNext with a difference below any |d1 - d2|.
+    d1 = _enlargement(cover_a_lo, cover_a_hi, area_a, los, his)
+    d2 = _enlargement(cover_b_lo, cover_b_hi, area_b, los, his)
+    assigned = np.zeros(n, dtype=bool)
+    assigned[[seed_a, seed_b]] = True
+    n_remaining = n - 2
 
-    while remaining:
+    while n_remaining:
         # If one group needs every remaining entry to reach min_fill,
         # assign them all to it.
-        if len(group_a) + len(remaining) == min_fill:
-            group_a.extend(remaining)
+        if len(group_a) + n_remaining == min_fill:
+            group_a.extend(np.flatnonzero(~assigned).tolist())
             break
-        if len(group_b) + len(remaining) == min_fill:
-            group_b.extend(remaining)
+        if len(group_b) + n_remaining == min_fill:
+            group_b.extend(np.flatnonzero(~assigned).tolist())
             break
 
-        # PickNext: entry with maximal |d1 - d2|.
-        best_k = -1
-        best_pos = -1
-        best_diff = -1.0
-        best_d = (0.0, 0.0)
-        for pos, k in enumerate(remaining):
-            d1 = _union_area(cover_a_lo, cover_a_hi, los[k], his[k]) - area_a
-            d2 = _union_area(cover_b_lo, cover_b_hi, los[k], his[k]) - area_b
-            diff = abs(d1 - d2)
-            if diff > best_diff:
-                best_diff = diff
-                best_k = k
-                best_pos = pos
-                best_d = (d1, d2)
-        remaining.pop(best_pos)
+        # PickNext: first remaining entry with maximal |d1 - d2|.
+        diff = np.abs(d1 - d2)
+        diff[assigned] = -1.0
+        k = int(diff.argmax())
+        assigned[k] = True
+        n_remaining -= 1
 
-        d1, d2 = best_d
-        if d1 < d2:
+        e1, e2 = float(d1[k]), float(d2[k])
+        if e1 < e2:
             choose_a = True
-        elif d2 < d1:
+        elif e2 < e1:
             choose_a = False
         elif area_a != area_b:
             choose_a = area_a < area_b
         else:
             choose_a = len(group_a) <= len(group_b)
 
+        # Only the chosen group's cover changes, so only its
+        # enlargement vector is recomputed.
         if choose_a:
-            group_a.append(best_k)
-            cover_a_lo, cover_a_hi = _union(cover_a_lo, cover_a_hi, los[best_k], his[best_k])
-            area_a = _area(cover_a_lo, cover_a_hi)
+            group_a.append(k)
+            np.minimum(cover_a_lo, los[:, k], out=cover_a_lo)
+            np.maximum(cover_a_hi, his[:, k], out=cover_a_hi)
+            area_a = float(_product(cover_a_hi - cover_a_lo))
+            d1 = _enlargement(cover_a_lo, cover_a_hi, area_a, los, his)
         else:
-            group_b.append(best_k)
-            cover_b_lo, cover_b_hi = _union(cover_b_lo, cover_b_hi, los[best_k], his[best_k])
-            area_b = _area(cover_b_lo, cover_b_hi)
+            group_b.append(k)
+            np.minimum(cover_b_lo, los[:, k], out=cover_b_lo)
+            np.maximum(cover_b_hi, his[:, k], out=cover_b_hi)
+            area_b = float(_product(cover_b_hi - cover_b_lo))
+            d2 = _enlargement(cover_b_lo, cover_b_hi, area_b, los, his)
 
     return group_a, group_b
 
 
-def _area(lo: tuple[float, ...], hi: tuple[float, ...]) -> float:
-    result = 1.0
-    for a, b in zip(lo, hi):
-        result *= b - a
+def _product(widths: np.ndarray) -> np.ndarray:
+    """Product over axis 0, multiplied left to right.
+
+    ``np.prod`` may reorder (pairwise or vectorised) the multiplications;
+    this keeps the order of ``1.0 * w_0 * w_1 * ...``.
+    """
+    result = widths[0]
+    for axis in range(1, len(widths)):
+        result = result * widths[axis]
     return result
 
 
-def _union_area(
-    lo1: tuple[float, ...],
-    hi1: tuple[float, ...],
-    lo2: tuple[float, ...],
-    hi2: tuple[float, ...],
-) -> float:
-    result = 1.0
-    for a, b, c, d in zip(lo1, hi1, lo2, hi2):
-        result *= max(b, d) - min(a, c)
-    return result
-
-
-def _union(
-    lo1: tuple[float, ...],
-    hi1: tuple[float, ...],
-    lo2: tuple[float, ...],
-    hi2: tuple[float, ...],
-) -> tuple[tuple[float, ...], tuple[float, ...]]:
-    lo = tuple(min(a, c) for a, c in zip(lo1, lo2))
-    hi = tuple(max(b, d) for b, d in zip(hi1, hi2))
-    return lo, hi
+def _enlargement(
+    cover_lo: np.ndarray,
+    cover_hi: np.ndarray,
+    cover_area: float,
+    los: np.ndarray,
+    his: np.ndarray,
+) -> np.ndarray:
+    """``area(cover ∪ E) - area(cover)`` for every entry ``E``."""
+    union = _product(
+        np.maximum(cover_hi[:, None], his) - np.minimum(cover_lo[:, None], los)
+    )
+    return union - cover_area
 
 
 def linear_split(

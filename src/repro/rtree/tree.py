@@ -205,7 +205,9 @@ class RTree:
 
         Works on raw corner tuples — this is the insertion hot path and
         allocating intermediate :class:`Rect` objects here dominates
-        TAT loading time otherwise.
+        TAT loading time otherwise.  The conditional expressions pick
+        the same float as builtin ``max``/``min`` for non-NaN corners
+        (which :class:`Rect` guarantees) without a call per axis.
         """
         r_lo, r_hi = rect.lo, rect.hi
         best: Entry | None = None
@@ -217,7 +219,7 @@ class RTree:
             union_area = 1.0
             for a, b, c, d in zip(e_lo, e_hi, r_lo, r_hi):
                 area *= b - a
-                union_area *= max(b, d) - min(a, c)
+                union_area *= (b if b >= d else d) - (a if a <= c else c)
             enlargement = union_area - area
             if enlargement < best_enlargement or (
                 enlargement == best_enlargement and area < best_area

@@ -35,9 +35,10 @@ class TestConstruction:
         with pytest.raises(GeometryError):
             Rect((), ())
 
-    def test_rejects_nan(self):
-        with pytest.raises(GeometryError):
-            Rect((math.nan, 0.0), (1.0, 1.0))
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_rejects_nan(self, bad):
+        with pytest.raises(GeometryError, match="non-finite coordinate on axis 0"):
+            Rect((bad, 0.0), (1.0, 1.0))
 
     def test_from_point(self):
         r = Rect.from_point((0.3, 0.7))

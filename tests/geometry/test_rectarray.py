@@ -32,10 +32,11 @@ class TestConstruction:
         with pytest.raises(GeometryError):
             RectArray(lo, hi)
 
-    def test_nan_rejected(self):
-        lo = np.array([[np.nan, 0.0]])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_nan_rejected(self, bad):
+        lo = np.array([[bad, 0.0]])
         hi = np.array([[1.0, 1.0]])
-        with pytest.raises(GeometryError):
+        with pytest.raises(GeometryError, match="non-finite"):
             RectArray(lo, hi)
 
     def test_is_immutable(self, sample):

@@ -1,11 +1,17 @@
 """Unit tests for the Guttman split heuristics."""
 
+from typing import Sequence
+
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
+from repro.datasets import tiger_like
 from repro.geometry import Rect, mbr_of
+from repro.packing import tat_tree
 from repro.rtree import Entry, greene_split, linear_split, quadratic_split
-from repro.rtree.split import SPLIT_FUNCTIONS
+from repro.rtree.split import SPLIT_FUNCTIONS, _validate_split_input
 
 
 def entries_from(rects):
@@ -179,3 +185,160 @@ def test_registry_contents():
     assert SPLIT_FUNCTIONS["quadratic"] is quadratic_split
     assert SPLIT_FUNCTIONS["linear"] is linear_split
     assert SPLIT_FUNCTIONS["greene"] is greene_split
+
+
+# ----------------------------------------------------------------------
+# Oracle: Guttman's quadratic split as a scalar loop over corner tuples.
+# ``quadratic_split`` must return the same groups, in the same order, on
+# every input, not merely groups of the same quality.
+# ----------------------------------------------------------------------
+def reference_quadratic_split(
+    entries: Sequence[Entry], min_fill: int
+) -> tuple[list[int], list[int]]:
+    _validate_split_input(entries, min_fill)
+    los = [e.rect.lo for e in entries]
+    his = [e.rect.hi for e in entries]
+    n = len(entries)
+    areas = [_area(lo, hi) for lo, hi in zip(los, his)]
+
+    # PickSeeds: maximise d = area(J) - area(E1) - area(E2).
+    best_waste = -float("inf")
+    seed_a, seed_b = 0, 1
+    for i in range(n - 1):
+        lo_i, hi_i, area_i = los[i], his[i], areas[i]
+        for j in range(i + 1, n):
+            waste = _union_area(lo_i, hi_i, los[j], his[j]) - area_i - areas[j]
+            if waste > best_waste:
+                best_waste = waste
+                seed_a, seed_b = i, j
+
+    group_a = [seed_a]
+    group_b = [seed_b]
+    cover_a_lo, cover_a_hi = los[seed_a], his[seed_a]
+    cover_b_lo, cover_b_hi = los[seed_b], his[seed_b]
+    area_a = areas[seed_a]
+    area_b = areas[seed_b]
+    remaining = [k for k in range(n) if k != seed_a and k != seed_b]
+
+    while remaining:
+        # If one group needs every remaining entry to reach min_fill,
+        # assign them all to it.
+        if len(group_a) + len(remaining) == min_fill:
+            group_a.extend(remaining)
+            break
+        if len(group_b) + len(remaining) == min_fill:
+            group_b.extend(remaining)
+            break
+
+        # PickNext: entry with maximal |d1 - d2|.
+        best_k = -1
+        best_pos = -1
+        best_diff = -1.0
+        best_d = (0.0, 0.0)
+        for pos, k in enumerate(remaining):
+            d1 = _union_area(cover_a_lo, cover_a_hi, los[k], his[k]) - area_a
+            d2 = _union_area(cover_b_lo, cover_b_hi, los[k], his[k]) - area_b
+            diff = abs(d1 - d2)
+            if diff > best_diff:
+                best_diff = diff
+                best_k = k
+                best_pos = pos
+                best_d = (d1, d2)
+        remaining.pop(best_pos)
+
+        d1, d2 = best_d
+        if d1 < d2:
+            choose_a = True
+        elif d2 < d1:
+            choose_a = False
+        elif area_a != area_b:
+            choose_a = area_a < area_b
+        else:
+            choose_a = len(group_a) <= len(group_b)
+
+        if choose_a:
+            group_a.append(best_k)
+            cover_a_lo, cover_a_hi = _union(cover_a_lo, cover_a_hi, los[best_k], his[best_k])
+            area_a = _area(cover_a_lo, cover_a_hi)
+        else:
+            group_b.append(best_k)
+            cover_b_lo, cover_b_hi = _union(cover_b_lo, cover_b_hi, los[best_k], his[best_k])
+            area_b = _area(cover_b_lo, cover_b_hi)
+
+    return group_a, group_b
+
+
+def _area(lo: tuple[float, ...], hi: tuple[float, ...]) -> float:
+    result = 1.0
+    for a, b in zip(lo, hi):
+        result *= b - a
+    return result
+
+
+def _union_area(
+    lo1: tuple[float, ...],
+    hi1: tuple[float, ...],
+    lo2: tuple[float, ...],
+    hi2: tuple[float, ...],
+) -> float:
+    result = 1.0
+    for a, b, c, d in zip(lo1, hi1, lo2, hi2):
+        result *= max(b, d) - min(a, c)
+    return result
+
+
+def _union(
+    lo1: tuple[float, ...],
+    hi1: tuple[float, ...],
+    lo2: tuple[float, ...],
+    hi2: tuple[float, ...],
+) -> tuple[tuple[float, ...], tuple[float, ...]]:
+    lo = tuple(min(a, c) for a, c in zip(lo1, lo2))
+    hi = tuple(max(b, d) for b, d in zip(hi1, hi2))
+    return lo, hi
+
+
+@st.composite
+def grid_split_inputs(draw):
+    """Entries on a 1/8 grid plus a feasible ``min_fill``.
+
+    Lows in [0, 1] and sides in [0, 1/2] on that grid make duplicates,
+    points, zero-width rectangles and shared edges common, so waste and
+    enlargement ties are the rule rather than the exception.
+    """
+    dim = draw(st.sampled_from([1, 2, 3]))
+    n = draw(st.integers(min_value=2, max_value=130))
+    lo = draw(arrays(np.int64, (n, dim), elements=st.integers(0, 8))) / 8
+    side = draw(arrays(np.int64, (n, dim), elements=st.integers(0, 4))) / 8
+    entries = [
+        Entry(Rect(tuple(l), tuple(l + s)), item=i)
+        for i, (l, s) in enumerate(zip(lo, side))
+    ]
+    min_fill = draw(st.integers(min_value=1, max_value=n // 2))
+    return entries, min_fill
+
+
+class TestQuadraticMatchesReference:
+    @settings(
+        max_examples=150,
+        deadline=None,
+        suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large],
+    )
+    @given(grid_split_inputs())
+    def test_same_groups_in_same_order(self, case):
+        entries, min_fill = case
+        assert quadratic_split(entries, min_fill) == reference_quadratic_split(
+            entries, min_fill
+        )
+
+    def test_tat_tree_layout_identical(self):
+        data = tiger_like(rng=1998)[:5000]
+
+        def layout(node):
+            if node.is_leaf:
+                return [e.item for e in node.entries]
+            return [layout(e.child) for e in node.entries]
+
+        fast = tat_tree(data, 100)
+        reference = tat_tree(data, 100, split=reference_quadratic_split)
+        assert layout(fast.root) == layout(reference.root)

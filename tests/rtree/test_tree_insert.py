@@ -2,9 +2,11 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from repro.geometry import GeometryError, Rect
-from repro.rtree import RTree, check_tree
+from repro.rtree import Entry, Node, RTree, check_tree
 from tests.conftest import random_rects
 
 
@@ -146,3 +148,54 @@ class TestStructure:
             t.insert(r, i)
         sizes = [len(lvl) for lvl in t.nodes_by_level()]
         assert sizes == sorted(sizes)
+
+
+def reference_choose_subtree(node, rect):
+    """ChooseLeaf with builtin ``max``/``min``: the oracle for the
+    conditional-expression loop in ``RTree._choose_subtree``."""
+    r_lo, r_hi = rect.lo, rect.hi
+    best = None
+    best_enlargement = float("inf")
+    best_area = float("inf")
+    for e in node.entries:
+        area = 1.0
+        union_area = 1.0
+        for a, b, c, d in zip(e.rect.lo, e.rect.hi, r_lo, r_hi):
+            area *= b - a
+            union_area *= max(b, d) - min(a, c)
+        enlargement = union_area - area
+        if enlargement < best_enlargement or (
+            enlargement == best_enlargement and area < best_area
+        ):
+            best = e
+            best_enlargement = enlargement
+            best_area = area
+    return best
+
+
+@st.composite
+def grid_choose_inputs(draw):
+    """An internal node and a rectangle on a 1/8 grid.
+
+    Small integer corners make equal enlargements and equal areas (the
+    two tie-breaks) frequent, including zero-area entries.
+    """
+    dim = draw(st.sampled_from([1, 2, 3]))
+    n = draw(st.integers(min_value=1, max_value=40))
+    lo = draw(arrays(np.int64, (n + 1, dim), elements=st.integers(0, 8))) / 8
+    side = draw(arrays(np.int64, (n + 1, dim), elements=st.integers(0, 4))) / 8
+    rects = [Rect(tuple(l), tuple(l + s)) for l, s in zip(lo, side)]
+    node = Node(
+        is_leaf=False,
+        entries=[Entry(r, child=Node(is_leaf=True)) for r in rects[:n]],
+    )
+    return node, rects[n]
+
+
+@settings(max_examples=200, deadline=None)
+@given(grid_choose_inputs())
+def test_choose_subtree_matches_builtin_max_min(case):
+    node, rect = case
+    assert RTree()._choose_subtree(node, rect) is reference_choose_subtree(
+        node, rect
+    )
