@@ -41,6 +41,23 @@ _MAX_FILL_QUERIES = 1 << 62
 filling (only reachable with access probabilities below ~1e-18)."""
 
 
+def _checked_probabilities(probs) -> np.ndarray:
+    """``probs`` as a float64 array; ``ValueError`` unless all lie in [0, 1].
+
+    Out-of-range values (and NaN) would otherwise flow through the
+    log/exp formulas into a NaN or zero ``ED`` without complaint.
+    """
+    probs = np.asarray(probs, dtype=np.float64)
+    bad = np.flatnonzero(~((probs >= 0.0) & (probs <= 1.0)))
+    if bad.size:
+        index = int(bad[0])
+        raise ValueError(
+            f"access probability at index {index} is "
+            f"{float(probs.flat[index])}, outside [0, 1]"
+        )
+    return probs
+
+
 def _log_miss(probs: np.ndarray) -> np.ndarray:
     """``log(1 − p)`` per node, computed stably (``-inf`` where p = 1)."""
     with np.errstate(divide="ignore"):
@@ -62,7 +79,7 @@ def expected_distinct_nodes(probs: np.ndarray, n_queries: int) -> float:
     root MBR covering the whole data space) contribute 1 for any
     ``N >= 1``; nodes with ``p = 0`` never contribute.
     """
-    probs = np.asarray(probs, dtype=np.float64)
+    probs = _checked_probabilities(probs)
     if n_queries < 0:
         raise ValueError("n_queries must be non-negative")
     return _distinct_from_log(_log_miss(probs), n_queries)
@@ -86,7 +103,7 @@ def queries_to_fill_buffer(
     size's ``N* − 1``, exploiting that ``N*`` is non-decreasing in the
     buffer size.  An invalid hint is checked once and discarded.
     """
-    probs = np.asarray(probs, dtype=np.float64)
+    probs = _checked_probabilities(probs)
     if buffer_pages < 1:
         raise ValueError("buffer_pages must be at least 1")
     if lower_bound < 0:
@@ -125,7 +142,7 @@ def steady_state_disk_accesses(probs: np.ndarray, n_star: int) -> float:
     probability of non-residence is approximated by the probability of
     not having been touched during the ``N*`` warm-up queries.
     """
-    probs = np.asarray(probs, dtype=np.float64)
+    probs = _checked_probabilities(probs)
     if n_star < 0:
         raise ValueError("n_star must be non-negative")
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -236,6 +253,7 @@ def buffer_model_sweep(
         )
     if probs_all.shape != (desc.total_nodes,):
         raise ValueError("workload returned a misshapen probability array")
+    _checked_probabilities(probs_all)
     node_accesses = float(np.sum(probs_all))
 
     first_unpinned = desc.level_offsets[pinned_levels]

@@ -76,7 +76,9 @@ class MixedWorkload(QueryWorkload):
         total = np.zeros(len(rects), dtype=np.float64)
         for weight, workload in zip(self.weights, self.workloads):
             total += weight * workload.access_probabilities(rects)
-        return total
+        # The normalised weights sum to 1 only up to rounding, so a
+        # node every component always touches can land one ulp above 1.
+        return np.minimum(total, 1.0)
 
     # ------------------------------------------------------------------
     # Simulation view — the engine dispatches on these.

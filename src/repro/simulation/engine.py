@@ -200,18 +200,11 @@ def simulate(
         started = time.perf_counter_ns() if registry is not None else 0
         warmed = 0
         with span("simulate.warmup"):
-            if warmup_queries is None:
-                while not buffer.is_full() and warmed < warmup_cap:
-                    step = min(_CHUNK, warmup_cap - warmed)
-                    _run_queries(buffer, stabber, workload, rng, step, trace)
-                    warmed += step
-            else:
-                remaining = warmup_queries
-                while remaining > 0:
-                    step = min(_CHUNK, remaining)
-                    _run_queries(buffer, stabber, workload, rng, step, trace)
-                    warmed += step
-                    remaining -= step
+            for step in _warmup_schedule(warmup_queries, warmup_cap):
+                if warmup_queries is None and buffer.is_full():
+                    break
+                _run_queries(buffer, stabber, workload, rng, step, trace)
+                warmed += step
         buffer_filled = buffer.is_full()
         if registry is not None:
             registry.timer("simulate.warmup").record(
@@ -288,9 +281,9 @@ def build_stabbers(
     expected probe volume — the work hint that lets ``make_stabber``
     promote small trees to the grid index (bit-exact either way).
 
-    Shared by the batch simulator and the serving engine so both paths
-    stab through identical structures — part of the K=1 exactness
-    argument in ``docs/SERVING.md``.
+    Shared by the batch simulator, the capacity sweep and the serving
+    engine so every path stabs through identical structures — part of
+    the K=1 exactness argument in ``docs/SERVING.md``.
     """
     if isinstance(workload, MixedWorkload):
         transformed = workload.component_transforms(desc.all_rects)
@@ -303,6 +296,19 @@ def build_stabbers(
     transformed = workload.transformed_rects(desc.all_rects)
     stabber = make_stabber(transformed, mode=accel, n_points=n_points)
     return stabber, type(stabber).__name__
+
+
+def _warmup_schedule(warmup_queries: int | None, warmup_cap: int) -> list[int]:
+    """The warm-up chunk sizes, in order: ``min(_CHUNK, remaining)``
+    steps over ``warmup_queries``, or over ``warmup_cap`` when warming
+    up until the buffer fills (checked before each step).
+
+    :func:`simulate` and the capacity sweep both walk this one
+    schedule, so the buffer-full check lands on the same query
+    boundaries in each — part of the sweep's bit-exactness.
+    """
+    total = warmup_cap if warmup_queries is None else warmup_queries
+    return [min(_CHUNK, total - done) for done in range(0, total, _CHUNK)]
 
 
 def _sum_stats(snapshots: list[BufferStats]) -> BufferStats:

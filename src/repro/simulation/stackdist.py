@@ -62,21 +62,11 @@ the per-batch counters are bit-exact against
 same :class:`~repro.buffer.BufferStats` snapshots).
 
 The inclusion property is LRU-specific — FIFO/CLOCK/RANDOM buffers do
-not nest — but a weaker, still valuable saving applies to FIFO and
-CLOCK: the *query stream* is shared across capacities even when the
-hit/miss outcomes are not.  Those policies take the **replay** path:
-sample and stab the stream once (the expensive, vectorizable part),
-then replay the unpinned page sequence through one real buffer per
-capacity — bit-exact against per-capacity ``simulate()`` by
-construction, paying the Python buffer loop per capacity but the
-sampling/stabbing only once.  :class:`~repro.queries.MixedWorkload`
-joins the same path (for LRU/FIFO/CLOCK) when ``warmup_queries`` is
-explicit, which fixes the chunk schedule so every capacity consumes
-the generator identically; with warm-up-until-full its component/point
-draws would interleave differently per warm-up length, so that
-combination — and RANDOM, whose eviction draws share the sampling
-generator — falls back to per-capacity simulation (still one call,
-same results, no speedup).
+not nest — and a :class:`~repro.queries.MixedWorkload` draws its
+component assignments chunk by chunk, so its stream depends on the
+chunk schedule that the one-draw measurement tail below skips.  Those
+sweeps run per-capacity :func:`~repro.simulation.engine.simulate`
+inside the same call: same results, no speedup.
 
 One small thread pool serves the whole pass: the measurement tail is
 stabbed in contiguous spans (stabbers are pure reads over prebuilt
@@ -93,22 +83,30 @@ from __future__ import annotations
 
 import time
 from concurrent.futures import ThreadPoolExecutor
+from dataclasses import dataclass
 
 import numpy as np
 
-from ..accel import make_stabber, segmented_left_rank
+from ..accel import segmented_left_rank
 from ..buffer import BufferStats, PinningError, POLICIES
 from ..obs import MetricsRegistry
 from ..obs.spans import span
 from ..queries.mixed import MixedWorkload
 from ..rtree import TreeDescription
 from .batchmeans import batch_means
-from .engine import _CHUNK, SimulationResult, _mixed_rows, simulate
+from .engine import (
+    _CHUNK,
+    SimulationResult,
+    _warmup_schedule,
+    build_stabbers,
+    simulate,
+)
 
 __all__ = ["simulate_sweep"]
 
 _MAX_SWEEP_THREADS = 4
-"""Default upper bound on the sweep's worker thread pool."""
+"""Worker threads of the sweep's pool: tail stabbing, the left-rank
+kernel and per-capacity accounting.  Results never depend on it."""
 
 _LR_SEGMENT = 512
 """Segment length of the stack-distance kernel: both the left-rank
@@ -131,8 +129,6 @@ def simulate_sweep(
     confidence: float = 0.90,
     rng: int | None = None,
     registry: MetricsRegistry | None = None,
-    accel: str = "auto",
-    max_threads: int = _MAX_SWEEP_THREADS,
 ) -> tuple[SimulationResult, ...]:
     """Simulate every buffer size in one pass over one query stream.
 
@@ -151,8 +147,8 @@ def simulate_sweep(
 
     **Determinism guarantee.**  For a fixed ``(workload, seed)`` the
     returned tuple is a pure function of the simulation parameters:
-    it does not depend on ``max_threads``, on the ``accel`` backend,
-    or on how the OS schedules threads.  Every internal split is over
+    it does not depend on the size of the sweep's thread pool or on
+    how the OS schedules threads.  Every internal split is over
     contiguous stream ranges merged in range order, and every
     floating-point reduction runs on one code path from identical
     integer counts (see ``docs/PERFORMANCE.md``).
@@ -168,18 +164,13 @@ def simulate_sweep(
         ``sweep.*`` gauges.  Per-level sinks and query traces are a
         per-capacity affair — use :func:`~repro.simulation.simulate`
         (e.g. the metrics probes) when you need ``level_stats``.
-    max_threads:
-        Worker threads shared by every phase of the in-process pass —
-        stabbing the measurement tail, the segmented left-rank kernel,
-        and per-capacity accounting.  Results never depend on it.
 
     Raises :class:`~repro.buffer.PinningError` when any swept size
     cannot hold the pinned levels — filter infeasible sizes first
-    (fig11 does).  FIFO/CLOCK (and mixed workloads with explicit
-    ``warmup_queries``) take the shared-stream *replay* path; RANDOM
-    and until-full mixed sweeps fall back to per-capacity simulation
-    internally.  Results are identical on every route — the route only
-    changes speed.
+    (fig11 does).  LRU sweeps of single-transform workloads take the
+    stack-distance pass; other policies and mixed workloads run
+    per-capacity simulation internally.  Results are identical on both
+    routes — the route only changes speed.
     """
     if n_batches < 2:
         raise ValueError("need at least two batches for confidence intervals")
@@ -212,32 +203,34 @@ def simulate_sweep(
         )
     seed = 0 if rng is None else int(rng)
 
-    mixed = isinstance(workload, MixedWorkload)
-    stackdist_ok = policy == "lru" and not mixed
-    replay_ok = (
-        not stackdist_ok
-        and policy in ("lru", "fifo", "clock")
-        and (not mixed or warmup_queries is not None)
-    )
-    fallback = not stackdist_ok and not replay_ok
-    mode = (
-        "stackdist" if stackdist_ok else "replay" if replay_ok else "fallback"
-    )
+    stackdist = policy == "lru" and not isinstance(workload, MixedWorkload)
     root = span(
         "simulate.sweep",
         capacities=len(buffer_sizes),
         policy=policy,
-        accel=accel,
         levels=desc.height,
         nodes=desc.total_nodes,
         pinned_levels=pinned_levels,
         n_batches=n_batches,
         batch_size=batch_size,
-        mode=mode,
+        mode="stackdist" if stackdist else "fallback",
     )
     started = time.perf_counter_ns() if registry is not None else 0
     with root:
-        if fallback:
+        if stackdist:
+            results = _stackdist_sweep(
+                desc,
+                workload,
+                buffer_sizes,
+                pinned_count=pinned_count,
+                n_batches=n_batches,
+                batch_size=batch_size,
+                warmup_queries=warmup_queries,
+                warmup_cap=warmup_cap,
+                confidence=confidence,
+                seed=seed,
+            )
+        else:
             results = tuple(
                 simulate(
                     desc,
@@ -251,39 +244,8 @@ def simulate_sweep(
                     policy=policy,
                     confidence=confidence,
                     rng=seed,
-                    accel=accel,
                 )
                 for b in buffer_sizes
-            )
-        elif replay_ok:
-            results = _replay_sweep(
-                desc,
-                workload,
-                buffer_sizes,
-                pinned_count=pinned_count,
-                policy=policy,
-                n_batches=n_batches,
-                batch_size=batch_size,
-                warmup_queries=warmup_queries,
-                warmup_cap=warmup_cap,
-                confidence=confidence,
-                seed=seed,
-                accel=accel,
-            )
-        else:
-            results = _stackdist_sweep(
-                desc,
-                workload,
-                buffer_sizes,
-                pinned_count=pinned_count,
-                n_batches=n_batches,
-                batch_size=batch_size,
-                warmup_queries=warmup_queries,
-                warmup_cap=warmup_cap,
-                confidence=confidence,
-                seed=seed,
-                accel=accel,
-                max_threads=max_threads,
             )
     if registry is not None:
         registry.timer("simulate.sweep").record(
@@ -301,6 +263,7 @@ def simulate_sweep(
 # ----------------------------------------------------------------------
 
 
+@dataclass(frozen=True)
 class _Stream:
     """The flattened access stream shared by every capacity.
 
@@ -313,52 +276,16 @@ class _Stream:
     online engine's "warm up until full" check reads.
     """
 
-    __slots__ = (
-        "q_indptr",
-        "pages",
-        "q_of_page",
-        "bounds",
-        "bound_distinct",
-        "backend",
-    )
-
-    def __init__(
-        self,
-        q_indptr: np.ndarray,
-        pages: np.ndarray,
-        q_of_page: np.ndarray,
-        bounds: np.ndarray,
-        bound_distinct: np.ndarray,
-        backend: str,
-    ) -> None:
-        self.q_indptr = q_indptr
-        self.pages = pages
-        self.q_of_page = q_of_page
-        self.bounds = bounds
-        self.bound_distinct = bound_distinct
-        self.backend = backend
+    q_indptr: np.ndarray
+    pages: np.ndarray
+    q_of_page: np.ndarray
+    bounds: np.ndarray
+    bound_distinct: np.ndarray
+    backend: str
 
     @property
     def n_queries(self) -> int:
         return self.q_indptr.shape[0] - 1
-
-
-def _warmup_schedule(warmup_queries: int | None, warmup_cap: int) -> list[int]:
-    """The online engine's warm-up chunk sizes, in order.
-
-    ``simulate`` warms up in ``min(_CHUNK, remaining)`` steps — either
-    until the buffer fills (capped at ``warmup_cap``) or for exactly
-    ``warmup_queries``.  The sweep samples the same chunks so the
-    buffer-full check lands on the same query boundaries.
-    """
-    total = warmup_cap if warmup_queries is None else warmup_queries
-    steps: list[int] = []
-    done = 0
-    while done < total:
-        step = min(_CHUNK, total - done)
-        steps.append(step)
-        done += step
-    return steps
 
 
 def _generate_stream(
@@ -371,8 +298,7 @@ def _generate_stream(
     warmup_queries: int | None,
     warmup_cap: int,
     seed: int,
-    accel: str,
-    tail_stab=None,
+    pool: ThreadPoolExecutor,
 ) -> _Stream:
     """Sample and stab the shared query stream, chunk by chunk.
 
@@ -382,18 +308,13 @@ def _generate_stream(
     function of the *total* sample count only, so chunk boundaries
     never change the sampled stream — the contract the sweep's
     bit-exactness rests on.  It also lets the measurement tail sample
-    in one draw and hand the points to ``tail_stab`` — a strategy
-    callable ``(stabber, points) -> iterable of sparse chunks`` that
-    may stab contiguous point spans on a thread pool or a process
-    pool (stabbers are stateless pure reads), as long as it yields
-    the chunks in stream order.  ``None`` stabs in one serial call.
-    Any order-preserving split produces the identical stream, so the
-    sampled/stabbed result never depends on the execution strategy.
+    in one draw and stab contiguous point spans on ``pool`` (stabbers
+    are stateless pure reads), reassembled in stream order: any
+    order-preserving split produces the identical stream.
     """
-    transformed = workload.transformed_rects(desc.all_rects)
     budget = warmup_cap if warmup_queries is None else warmup_queries
-    stabber = make_stabber(
-        transformed, mode=accel, n_points=budget + measurement
+    stabber, backend = build_stabbers(
+        desc, workload, n_points=budget + measurement
     )
     rng = np.random.default_rng(seed)
 
@@ -434,11 +355,13 @@ def _generate_stream(
     remaining = target - generated
     if remaining > 0:
         points = workload.sample_points(remaining, rng)
-        if tail_stab is None:
-            ingest(stabber.stab(points))
-        else:
-            for sparse in tail_stab(stabber, points):
-                ingest(sparse)
+        width = max(_CHUNK, -(-remaining // (2 * _MAX_SWEEP_THREADS)))
+        stabbed = pool.map(
+            lambda at: stabber.stab(points[at : at + width]),
+            range(0, remaining, width),
+        )
+        for sparse in stabbed:
+            ingest(sparse)
 
     all_lengths = np.concatenate(lengths)[:target]
     q_indptr = np.zeros(target + 1, dtype=np.int64)
@@ -452,7 +375,7 @@ def _generate_stream(
         q_of_page=q_of_access[unpinned],
         bounds=np.asarray(bounds, dtype=np.int64),
         bound_distinct=np.asarray(bound_distinct, dtype=np.int64),
-        backend=type(stabber).__name__,
+        backend=backend,
     )
 
 
@@ -589,79 +512,6 @@ def _warmup_for(
     return warmup_cap
 
 
-def _capacity_bounds(
-    stream: _Stream,
-    warmed: int,
-    n_batches: int,
-    batch_size: int,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Batch boundaries of one capacity's measurement window.
-
-    Returns ``(batch_queries, access_bounds)``: the cumulative query
-    counts delimiting each batch and the matching unpinned-access
-    bounds — the only quantities the counting kernels need, shared
-    verbatim by the stack-distance and replay accounting paths.
-    """
-    batch_queries = warmed + batch_size * np.arange(
-        n_batches + 1, dtype=np.int64
-    )
-    access_bounds = np.searchsorted(stream.q_of_page, batch_queries, "left")
-    return batch_queries, access_bounds
-
-
-def _assemble_result(
-    stream: _Stream,
-    *,
-    capacity: int,
-    warmed: int,
-    batch_queries: np.ndarray,
-    miss_b: np.ndarray,
-    evict_b: np.ndarray,
-    resident: int,
-    batch_size: int,
-    confidence: float,
-    filled: bool | None = None,
-) -> SimulationResult:
-    """Integer per-batch counts → one ``SimulationResult``.
-
-    The single float path of the sweep: the stack-distance and replay
-    counts are both exact int64 per-batch totals, so routing them
-    through this one function makes the two paths bit-identical by
-    construction.  ``resident`` is the distinct unpinned pages seen
-    before the first measured access (``ccold`` at the window start) —
-    the online buffer's resident count when ``is_full`` was last
-    checked.  The replay path passes ``filled`` explicitly (it read
-    ``is_full()`` off a real buffer) and ``resident=0``.
-    """
-    req_b = stream.q_indptr[batch_queries[1:]] - stream.q_indptr[
-        batch_queries[:-1]
-    ]
-
-    snapshots = []
-    for requests, misses, evictions in zip(req_b, miss_b, evict_b):
-        stats = BufferStats()
-        stats.requests = int(requests)
-        stats.hits = int(requests - misses)
-        stats.misses = int(misses)
-        stats.evictions = int(evictions)
-        snapshots.append(stats)
-
-    if filled is None:
-        filled = capacity <= 0 or resident >= capacity
-
-    return SimulationResult(
-        disk_accesses=batch_means(
-            [m / batch_size for m in miss_b], confidence=confidence
-        ),
-        node_accesses=batch_means(
-            [r / batch_size for r in req_b], confidence=confidence
-        ),
-        warmup_queries=warmed,
-        buffer_filled=filled,
-        batch_stats=tuple(snapshots),
-    )
-
-
 def _account_capacity(
     stream: _Stream,
     cold: np.ndarray,
@@ -682,264 +532,53 @@ def _account_capacity(
     distance reaches the capacity, and a miss evicts iff the buffer
     was already full (``ccold[t] >= capacity``; never when the
     unpinned area has zero capacity, where pages are read and
-    discarded).
+    discarded).  The buffer was full at the window start iff the
+    distinct unpinned pages seen by then (``ccold`` there, the online
+    buffer's resident count) reach the capacity.
+
+    Counts are exact int64 per-batch totals; the floats derive from
+    them in one place, so results never depend on how the accesses
+    were split across threads.
     """
-    batch_queries, access_bounds = _capacity_bounds(
-        stream, warmed, n_batches, batch_size
+    batch_queries = warmed + batch_size * np.arange(
+        n_batches + 1, dtype=np.int64
     )
-    # Unpinned-access bounds of each batch, then exclusive prefix sums
-    # -> exact integer per-batch counts.
+    access_bounds = np.searchsorted(stream.q_of_page, batch_queries, "left")
     lo, hi = access_bounds[0], access_bounds[-1]
-    miss = cold[lo:hi] | (depth[lo:hi] >= capacity)
-    if capacity > 0:
-        evict = miss & (ccold[lo:hi] >= capacity)
-    else:
-        evict = np.zeros_like(miss)
-    cmiss = np.concatenate(
-        [np.zeros(1, dtype=np.int64), np.cumsum(miss, dtype=np.int64)]
-    )
-    cevict = np.concatenate(
-        [np.zeros(1, dtype=np.int64), np.cumsum(evict, dtype=np.int64)]
-    )
     rel = access_bounds - lo
-    miss_b = cmiss[rel[1:]] - cmiss[rel[:-1]]
-    evict_b = cevict[rel[1:]] - cevict[rel[:-1]]
-    return _assemble_result(
-        stream,
-        capacity=capacity,
-        warmed=warmed,
-        batch_queries=batch_queries,
-        miss_b=miss_b,
-        evict_b=evict_b,
-        resident=int(ccold[lo]),
-        batch_size=batch_size,
-        confidence=confidence,
-    )
 
+    def per_batch(flags: np.ndarray) -> np.ndarray:
+        totals = np.zeros(flags.shape[0] + 1, dtype=np.int64)
+        np.cumsum(flags, dtype=np.int64, out=totals[1:])
+        return totals[rel[1:]] - totals[rel[:-1]]
 
-# ----------------------------------------------------------------------
-# The shared-stream replay engine (FIFO/CLOCK, fixed-warm-up mixtures)
-# ----------------------------------------------------------------------
-
-
-def _generate_mixed_stream(
-    desc: TreeDescription,
-    workload: MixedWorkload,
-    *,
-    pinned_count: int,
-    n_batches: int,
-    batch_size: int,
-    warmup_queries: int,
-    warmup_cap: int,
-    seed: int,
-    accel: str,
-) -> _Stream:
-    """The shared stream for a mixture with an explicit warm-up.
-
-    A mixture's generator consumption *does* depend on chunk
-    boundaries (component assignments and per-component point draws
-    interleave per chunk), so this replays the online engine's exact
-    chunk schedule: the ``_warmup_schedule`` steps followed by each
-    batch in ``min(_CHUNK, remaining)`` steps.  With ``warmup_queries``
-    fixed, that schedule — hence the sampled stream — is identical for
-    every capacity, which is precisely why the replay path requires an
-    explicit warm-up for mixtures.
-    """
-    transformed = workload.component_transforms(desc.all_rects)
-    budget = warmup_queries + n_batches * batch_size
-    stabbers = [
-        make_stabber(t, mode=accel, n_points=budget) for t in transformed
+    miss = cold[lo:hi] | (depth[lo:hi] >= capacity)
+    miss_b = per_batch(miss)
+    evict_b = per_batch(miss & (ccold[lo:hi] >= capacity) & (capacity > 0))
+    req_b = stream.q_indptr[batch_queries[1:]] - stream.q_indptr[
+        batch_queries[:-1]
     ]
-    rng = np.random.default_rng(seed)
 
-    schedule = _warmup_schedule(warmup_queries, warmup_cap)
-    for _ in range(n_batches):
-        remaining = batch_size
-        while remaining > 0:
-            step = min(_CHUNK, remaining)
-            schedule.append(step)
-            remaining -= step
+    snapshots = []
+    for requests, misses, evictions in zip(req_b, miss_b, evict_b):
+        stats = BufferStats()
+        stats.requests = int(requests)
+        stats.hits = int(requests - misses)
+        stats.misses = int(misses)
+        stats.evictions = int(evictions)
+        snapshots.append(stats)
 
-    lengths: list[np.ndarray] = []
-    id_chunks: list[np.ndarray] = []
-    for count in schedule:
-        rows = _mixed_rows(stabbers, workload, rng, count)
-        lengths.append(
-            np.fromiter((row.size for row in rows), np.int64, count=count)
-        )
-        id_chunks.append(
-            np.concatenate(rows) if rows else np.empty(0, dtype=np.int64)
-        )
-
-    total = budget
-    all_lengths = (
-        np.concatenate(lengths) if lengths else np.empty(0, dtype=np.int64)
+    return SimulationResult(
+        disk_accesses=batch_means(
+            [m / batch_size for m in miss_b], confidence=confidence
+        ),
+        node_accesses=batch_means(
+            [r / batch_size for r in req_b], confidence=confidence
+        ),
+        warmup_queries=warmed,
+        buffer_filled=capacity <= 0 or int(ccold[lo]) >= capacity,
+        batch_stats=tuple(snapshots),
     )
-    q_indptr = np.zeros(total + 1, dtype=np.int64)
-    np.cumsum(all_lengths, out=q_indptr[1:])
-    ids = (
-        np.concatenate(id_chunks)
-        if id_chunks
-        else np.empty(0, dtype=np.int64)
-    ).astype(np.int64, copy=False)
-    q_of_access = np.repeat(np.arange(total, dtype=np.int64), all_lengths)
-    unpinned = ids >= pinned_count
-    return _Stream(
-        q_indptr=q_indptr,
-        pages=ids[unpinned],
-        q_of_page=q_of_access[unpinned],
-        # Warm-up is explicit, so the until-full boundary tables are
-        # never consulted; keep them trivially empty.
-        bounds=np.zeros(1, dtype=np.int64),
-        bound_distinct=np.zeros(1, dtype=np.int64),
-        backend=",".join(sorted({type(s).__name__ for s in stabbers})),
-    )
-
-
-def _replay_capacity(
-    stream: _Stream,
-    *,
-    policy: str,
-    capacity: int,
-    warmed: int,
-    n_batches: int,
-    batch_size: int,
-    confidence: float,
-) -> SimulationResult:
-    """Replay the shared unpinned page sequence through one buffer.
-
-    The buffer has capacity equal to the *unpinned* capacity and no
-    pinned set: pinned requests never touch the online pool's
-    replacement structures (``BufferPool.request`` short-circuits
-    them), so feeding only the unpinned subsequence through an
-    unpinned pool of the reduced capacity walks the identical state
-    sequence.  Per-batch requests come from ``q_indptr`` (they include
-    pinned accesses); hits are requests minus misses, exactly the
-    online accounting.
-    """
-    batch_queries, access_bounds = _capacity_bounds(
-        stream, warmed, n_batches, batch_size
-    )
-    pages = stream.pages
-    lo = int(access_bounds[0])
-    if capacity <= 0:
-        # A zero-capacity unpinned area: every unpinned access is read
-        # and discarded — all misses, no evictions, trivially full.
-        miss_b = np.diff(access_bounds).astype(np.int64)
-        evict_b = np.zeros(n_batches, dtype=np.int64)
-        filled = True
-    else:
-        buffer = POLICIES[policy](capacity)
-        request = buffer.request
-        for page in pages[:lo]:
-            request(int(page))
-        filled = buffer.is_full()
-        stats = buffer.stats
-        stats.reset()
-        miss_b = np.zeros(n_batches, dtype=np.int64)
-        evict_b = np.zeros(n_batches, dtype=np.int64)
-        for index in range(n_batches):
-            for page in pages[access_bounds[index] : access_bounds[index + 1]]:
-                request(int(page))
-            miss_b[index] = stats.misses
-            evict_b[index] = stats.evictions
-            stats.reset()
-    return _assemble_result(
-        stream,
-        capacity=capacity,
-        warmed=warmed,
-        batch_queries=batch_queries,
-        miss_b=miss_b,
-        evict_b=evict_b,
-        resident=0,
-        batch_size=batch_size,
-        confidence=confidence,
-        filled=filled,
-    )
-
-
-def _replay_sweep(
-    desc: TreeDescription,
-    workload,
-    buffer_sizes: tuple[int, ...],
-    *,
-    pinned_count: int,
-    policy: str,
-    n_batches: int,
-    batch_size: int,
-    warmup_queries: int | None,
-    warmup_cap: int,
-    confidence: float,
-    seed: int,
-    accel: str,
-) -> tuple[SimulationResult, ...]:
-    """Sample/stab once, replay per capacity through a real buffer.
-
-    The saving relative to the fallback is everything upstream of the
-    buffer loop — sampling and stabbing run once instead of once per
-    capacity; the Python replacement loop itself is inherently
-    per-capacity for non-nesting policies.  Bit-exact against
-    per-capacity :func:`~repro.simulation.engine.simulate` by
-    construction: same stream (chunk-independence for non-mixed
-    workloads, replicated chunk schedule for mixtures), same warm-up
-    boundaries, same buffer implementation.
-    """
-    capacities = [b - pinned_count for b in buffer_sizes]
-    measurement = n_batches * batch_size
-    with span("stackdist.stream") as stream_span:
-        if isinstance(workload, MixedWorkload):
-            assert warmup_queries is not None  # guaranteed by the gate
-            stream = _generate_mixed_stream(
-                desc,
-                workload,
-                pinned_count=pinned_count,
-                n_batches=n_batches,
-                batch_size=batch_size,
-                warmup_queries=warmup_queries,
-                warmup_cap=warmup_cap,
-                seed=seed,
-                accel=accel,
-            )
-        else:
-            stream = _generate_stream(
-                desc,
-                workload,
-                pinned_count=pinned_count,
-                max_capacity=max(capacities),
-                measurement=measurement,
-                warmup_queries=warmup_queries,
-                warmup_cap=warmup_cap,
-                seed=seed,
-                accel=accel,
-            )
-        stream_span.set_attrs(
-            queries=stream.n_queries,
-            accesses=int(stream.q_indptr[-1]),
-            unpinned=int(stream.pages.size),
-            backend=stream.backend,
-        )
-
-    results = []
-    for buffer_size, capacity in zip(buffer_sizes, capacities):
-        warmed = _warmup_for(stream, capacity, warmup_queries, warmup_cap)
-        with span(
-            "stackdist.capacity",
-            buffer_size=buffer_size,
-            capacity=capacity,
-            warmup=warmed,
-        ):
-            results.append(
-                _replay_capacity(
-                    stream,
-                    policy=policy,
-                    capacity=capacity,
-                    warmed=warmed,
-                    n_batches=n_batches,
-                    batch_size=batch_size,
-                    confidence=confidence,
-                )
-            )
-    return tuple(results)
 
 
 def _stackdist_sweep(
@@ -954,40 +593,21 @@ def _stackdist_sweep(
     warmup_cap: int,
     confidence: float,
     seed: int,
-    accel: str,
-    max_threads: int,
 ) -> tuple[SimulationResult, ...]:
-    """The Mattson fast path (LRU, single-transform workloads)."""
+    """The Mattson pass (LRU, single-transform workloads)."""
     capacities = [b - pinned_count for b in buffer_sizes]
-    measurement = n_batches * batch_size
-
-    workers = max(1, max_threads)
-    pool = ThreadPoolExecutor(max_workers=workers) if workers > 1 else None
-
-    def tail_stab(stabber, points):
-        """Thread-pooled span stabbing, reassembled in stream order."""
-        remaining = points.shape[0]
-        if pool is None or remaining < 2 * _CHUNK:
-            return [stabber.stab(points)]
-        width = max(_CHUNK, -(-remaining // (2 * workers)))
-        cuts = range(0, remaining, width)
-        return pool.map(
-            lambda at: stabber.stab(points[at : at + width]), cuts
-        )
-
-    try:
+    with ThreadPoolExecutor(max_workers=_MAX_SWEEP_THREADS) as pool:
         with span("stackdist.stream") as stream_span:
             stream = _generate_stream(
                 desc,
                 workload,
                 pinned_count=pinned_count,
                 max_capacity=max(capacities),
-                measurement=measurement,
+                measurement=n_batches * batch_size,
                 warmup_queries=warmup_queries,
                 warmup_cap=warmup_cap,
                 seed=seed,
-                accel=accel,
-                tail_stab=tail_stab,
+                pool=pool,
             )
             stream_span.set_attrs(
                 queries=stream.n_queries,
@@ -997,35 +617,29 @@ def _stackdist_sweep(
             )
 
         with span("stackdist.distances", accesses=int(stream.pages.size)):
-            cold, depth, ccold = _stack_distances(stream.pages, pool, workers)
+            cold, depth, ccold = _stack_distances(
+                stream.pages, pool, _MAX_SWEEP_THREADS
+            )
 
-        warmups = [
-            _warmup_for(stream, c, warmup_queries, warmup_cap)
-            for c in capacities
-        ]
-
-        def account(index: int) -> SimulationResult:
+        def account(buffer_size: int) -> SimulationResult:
+            capacity = buffer_size - pinned_count
+            warmed = _warmup_for(stream, capacity, warmup_queries, warmup_cap)
             with span(
                 "stackdist.capacity",
-                buffer_size=buffer_sizes[index],
-                capacity=capacities[index],
-                warmup=warmups[index],
+                buffer_size=buffer_size,
+                capacity=capacity,
+                warmup=warmed,
             ):
                 return _account_capacity(
                     stream,
                     cold,
                     depth,
                     ccold,
-                    capacity=capacities[index],
-                    warmed=warmups[index],
+                    capacity=capacity,
+                    warmed=warmed,
                     n_batches=n_batches,
                     batch_size=batch_size,
                     confidence=confidence,
                 )
 
-        if pool is None:
-            return tuple(account(i) for i in range(len(buffer_sizes)))
-        return tuple(pool.map(account, range(len(buffer_sizes))))
-    finally:
-        if pool is not None:
-            pool.shutdown()
+        return tuple(pool.map(account, buffer_sizes))

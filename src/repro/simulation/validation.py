@@ -14,11 +14,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from ..model import buffer_model_sweep
 from ..rtree import TreeDescription
-from .engine import simulate
 from .stackdist import simulate_sweep
 
 __all__ = ["ValidationReport", "ValidationRow", "validate_model"]
@@ -78,48 +75,31 @@ def validate_model(
     batch_size: int = 5000,
     policy: str = "lru",
     confidence: float = 0.90,
-    rng: np.random.Generator | int | None = None,
+    rng: int | None = None,
 ) -> ValidationReport:
     """Compare the buffer model against simulation over buffer sizes.
 
     All simulation parameters mirror :func:`~repro.simulation.simulate`;
     the model side shares one access-probability computation across the
     sweep, and the simulation side runs the whole sweep in one pass
-    through :func:`~repro.simulation.simulate_sweep` (each buffer size
-    replays the same seeded stream, exactly as the old per-size loop
-    did).  Passing a live ``Generator`` keeps the sequential per-size
-    loop, since its capacities deliberately share generator state.
+    through :func:`~repro.simulation.simulate_sweep`, every buffer size
+    measured on the stream of the same seed.  ``rng`` is that seed; a
+    live ``Generator`` raises ``TypeError``, as in ``simulate_sweep``.
     """
     predictions = buffer_model_sweep(
         desc, workload, buffer_sizes, pinned_levels=pinned_levels
     )
-    if isinstance(rng, np.random.Generator):
-        measurements = [
-            simulate(
-                desc,
-                workload,
-                predicted.buffer_size,
-                pinned_levels=pinned_levels,
-                n_batches=n_batches,
-                batch_size=batch_size,
-                policy=policy,
-                confidence=confidence,
-                rng=rng,
-            )
-            for predicted in predictions
-        ]
-    else:
-        measurements = simulate_sweep(
-            desc,
-            workload,
-            [predicted.buffer_size for predicted in predictions],
-            pinned_levels=pinned_levels,
-            n_batches=n_batches,
-            batch_size=batch_size,
-            policy=policy,
-            confidence=confidence,
-            rng=rng,
-        )
+    measurements = simulate_sweep(
+        desc,
+        workload,
+        [predicted.buffer_size for predicted in predictions],
+        pinned_levels=pinned_levels,
+        n_batches=n_batches,
+        batch_size=batch_size,
+        policy=policy,
+        confidence=confidence,
+        rng=rng,
+    )
     rows = []
     for predicted, measured in zip(predictions, measurements):
         sim_mean = measured.disk_accesses.mean

@@ -53,10 +53,8 @@ class TestAuditedModulesStayClean:
         ]
 
     def test_no_leaked_resources(self):
-        # The sweep builds its executor conditionally
-        # (``ThreadPoolExecutor(...) if workers > 1 else None``) and
-        # releases it in a ``finally`` -- a shape RL012 must keep
-        # accepting.
+        # The sweep owns its executor in a ``with`` block -- a shape
+        # RL012 must keep accepting.
         violations = _audit("RL012")
         assert violations == []
 

@@ -14,7 +14,11 @@ from repro.model import (
     steady_state_disk_accesses,
 )
 from repro.packing import pack_description
-from repro.queries import UniformPointWorkload, UniformRegionWorkload
+from repro.queries import (
+    MixedWorkload,
+    UniformPointWorkload,
+    UniformRegionWorkload,
+)
 from tests.conftest import random_rects
 
 
@@ -320,3 +324,57 @@ class TestSweepBracketReuse:
             assert result.disk_accesses == pytest.approx(single.disk_accesses)
         assert swept[-1].n_star is None
         assert swept[-1].disk_accesses == 0.0
+
+
+class _FixedProbabilities:
+    """A stub workload whose access probabilities are given outright."""
+
+    def __init__(self, probs):
+        self.probs = probs
+
+    def access_probabilities(self, rects):
+        return self.probs
+
+
+BAD_PROBABILITIES = pytest.mark.parametrize(
+    "bad", [1.5, -0.2, math.nan], ids=["above-one", "negative", "nan"]
+)
+
+
+class TestProbabilityRange:
+    @BAD_PROBABILITIES
+    def test_buffer_model_rejects_workload(self, desc, bad):
+        probs = np.full(desc.total_nodes, 0.01)
+        probs[3] = bad
+        with pytest.raises(ValueError, match=r"index 3 is .*outside \[0, 1\]"):
+            buffer_model(desc, _FixedProbabilities(probs), 10)
+
+    @BAD_PROBABILITIES
+    @pytest.mark.parametrize(
+        "helper",
+        [
+            lambda p: expected_distinct_nodes(p, 5),
+            lambda p: queries_to_fill_buffer(p, 2),
+            lambda p: steady_state_disk_accesses(p, 5),
+        ],
+        ids=["expected_distinct_nodes", "queries_to_fill_buffer",
+             "steady_state_disk_accesses"],
+    )
+    def test_helpers_reject(self, helper, bad):
+        with pytest.raises(ValueError, match="index 1 is"):
+            helper(np.array([0.5, bad, 0.25]))
+
+    def test_closed_interval_accepted(self):
+        probs = np.array([0.0, 1.0, 0.5])
+        assert expected_distinct_nodes(probs, 3) == pytest.approx(1.875)
+        assert steady_state_disk_accesses(probs, 0) == pytest.approx(1.5)
+
+    def test_mixture_rounding_stays_in_range(self, desc):
+        # Weights 6:23:1 normalise to fractions whose float sum is
+        # 1 + 2^-52; a node every component always touches must still
+        # get probability 1, not a value the model would reject.
+        region = UniformRegionWorkload((0.05, 0.05))
+        mixed = MixedWorkload([(6, region), (23, region), (1, region)])
+        probs = mixed.access_probabilities(desc.all_rects)
+        assert probs[0] == 1.0
+        assert buffer_model(desc, mixed, 10).disk_accesses > 0.0

@@ -17,6 +17,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.buffer import PinningError
+from repro.geometry import RectArray
 from repro.obs import MetricsRegistry, Tracer, chrome_trace, use_tracer
 from repro.packing import pack_description
 from repro.queries import (
@@ -25,7 +26,7 @@ from repro.queries import (
     UniformPointWorkload,
     UniformRegionWorkload,
 )
-from repro.simulation import simulate, simulate_sweep
+from repro.simulation import simulate, simulate_sweep, stackdist
 from repro.simulation.stackdist import _stack_distances
 from tests.conftest import random_rects
 
@@ -114,6 +115,16 @@ class TestBitExactAgainstOnline:
             ),
         ),
         (
+            "lru-zero-unpinned-capacity",
+            UniformPointWorkload(),
+            dict(buffer_sizes=(1, 6), pinned_levels=1, warmup_cap=1024),
+        ),
+        (
+            "lru-zero-unpinned-explicit-warmup",
+            UniformRegionWorkload((0.05, 0.05)),
+            dict(buffer_sizes=(1, 6), pinned_levels=1, warmup_queries=300),
+        ),
+        (
             "mixed-replay-explicit-warmup",
             MixedWorkload(
                 [
@@ -153,19 +164,81 @@ class TestBitExactAgainstOnline:
                 result, simulate(_DESC, workload, size, **common)
             )
 
-    def test_results_independent_of_thread_count(self):
+    def test_results_independent_of_thread_count(self, monkeypatch):
         kwargs = dict(
             buffer_sizes=(2, 7, 30, 80),
             n_batches=3,
             batch_size=250,
             rng=3,
         )
-        serial = simulate_sweep(_DESC, UniformPointWorkload(), **kwargs,
-                                max_threads=1)
-        threaded = simulate_sweep(_DESC, UniformPointWorkload(), **kwargs,
-                                  max_threads=8)
+        monkeypatch.setattr(stackdist, "_MAX_SWEEP_THREADS", 1)
+        serial = simulate_sweep(_DESC, UniformPointWorkload(), **kwargs)
+        monkeypatch.setattr(stackdist, "_MAX_SWEEP_THREADS", 8)
+        threaded = simulate_sweep(_DESC, UniformPointWorkload(), **kwargs)
         for a, b in zip(serial, threaded):
             assert_results_identical(a, b)
+
+
+@st.composite
+def degenerate_sweeps(draw):
+    """A small tree over duplicate and zero-area rectangles (one node
+    included), a pin depth, and buffer sizes down to the pin count."""
+    n_rects = draw(st.integers(min_value=1, max_value=24))
+    coords = draw(
+        st.lists(
+            st.tuples(*[st.integers(min_value=0, max_value=4)] * 4),
+            min_size=n_rects,
+            max_size=n_rects,
+        )
+    )
+    grid = np.array(coords, dtype=np.float64) / 4.0
+    rects = RectArray(
+        np.minimum(grid[:, :2], grid[:, 2:]),
+        np.maximum(grid[:, :2], grid[:, 2:]),
+    )
+    desc = pack_description(
+        rects,
+        capacity=draw(st.integers(min_value=2, max_value=6)),
+        ordering=draw(st.sampled_from(["nx", "hs", "str"])),
+    )
+    pinned_levels = draw(st.integers(min_value=0, max_value=desc.height))
+    smallest = max(1, int(desc.level_offsets[pinned_levels]))
+    extra = draw(
+        st.lists(
+            st.integers(min_value=smallest, max_value=desc.total_nodes + 2),
+            max_size=3,
+        )
+    )
+    workload = draw(
+        st.sampled_from(
+            [UniformPointWorkload(), UniformRegionWorkload((0.1, 0.1))]
+        )
+    )
+    kwargs = dict(
+        pinned_levels=pinned_levels,
+        warmup_queries=draw(st.sampled_from([None, 0, 150])),
+        warmup_cap=300,
+        n_batches=2,
+        batch_size=60,
+        rng=draw(st.integers(min_value=0, max_value=2**16)),
+    )
+    return desc, workload, tuple(sorted({smallest, *extra})), kwargs
+
+
+class TestDegenerateTrees:
+    @settings(
+        max_examples=40,
+        deadline=None,
+        suppress_health_check=[HealthCheck.too_slow],
+    )
+    @given(degenerate_sweeps())
+    def test_sweep_matches_simulate(self, case):
+        desc, workload, buffer_sizes, kwargs = case
+        results = simulate_sweep(desc, workload, buffer_sizes, **kwargs)
+        for size, result in zip(buffer_sizes, results):
+            assert_results_identical(
+                result, simulate(desc, workload, size, **kwargs)
+            )
 
 
 class TestInclusionProperty:
@@ -239,36 +312,18 @@ class TestObservability:
         assert metrics["gauges"]["sweep.capacities"] == 3
         assert metrics["timers"]["simulate.sweep"]["count"] == 1
 
-    def test_fallback_mode_span(self):
-        # RANDOM's eviction draws interleave with sampling RNG, so it
-        # is the one replacement policy left on the per-capacity path.
-        tracer = Tracer()
-        previous = use_tracer(tracer)
-        try:
-            simulate_sweep(
-                _DESC,
-                UniformPointWorkload(),
-                (2, 8),
-                n_batches=2,
-                batch_size=100,
-                warmup_queries=100,
-                policy="random",
-                rng=1,
-            )
-        finally:
-            use_tracer(previous)
-        (root,) = [s for s in tracer.finished() if s.name == "simulate.sweep"]
-        assert root.attrs["mode"] == "fallback"
-
     @pytest.mark.parametrize(
         "kwargs",
         [
+            dict(policy="random", warmup_queries=100),
             dict(policy="fifo", warmup_queries=100),
             dict(policy="clock", warmup_cap=1024),
         ],
-        ids=["fifo", "clock"],
+        ids=["random", "fifo", "clock"],
     )
-    def test_replay_mode_span(self, kwargs):
+    def test_fallback_mode_span(self, kwargs):
+        # Only LRU buffers nest, so every other policy simulates each
+        # capacity on its own inside the one call.
         tracer = Tracer()
         previous = use_tracer(tracer)
         try:
@@ -284,11 +339,11 @@ class TestObservability:
         finally:
             use_tracer(previous)
         (root,) = [s for s in tracer.finished() if s.name == "simulate.sweep"]
-        assert root.attrs["mode"] == "replay"
-        capacity_spans = [
-            s for s in tracer.finished() if s.name == "stackdist.capacity"
+        assert root.attrs["mode"] == "fallback"
+        simulate_spans = [
+            s for s in tracer.finished() if s.name == "simulate"
         ]
-        assert len(capacity_spans) == 3
+        assert [s.attrs["buffer_size"] for s in simulate_spans] == [2, 8, 20]
 
     def test_mixed_until_full_stays_on_fallback(self):
         # A mixture's draws depend on chunk boundaries, and an
@@ -327,7 +382,6 @@ class TestObservability:
                 batch_size=200,
                 warmup_queries=300,
                 rng=2,
-                max_threads=4,
             )
         finally:
             use_tracer(previous)

@@ -94,3 +94,18 @@ class TestValidateModel:
             rng=6,
         )
         assert report.rows[0].within_ci  # 0 == 0 exactly
+
+    def test_rejects_generator_rng(self, desc):
+        import numpy as np
+
+        # Every buffer size is measured on the stream of one seed; a
+        # live generator cannot be replayed per size.
+        with pytest.raises(TypeError, match="reproducible seed"):
+            validate_model(
+                desc,
+                UniformPointWorkload(),
+                buffer_sizes=(10,),
+                n_batches=2,
+                batch_size=100,
+                rng=np.random.default_rng(0),
+            )
