@@ -247,12 +247,19 @@ def unit_rect(dim: int = 2) -> Rect:
 
 
 def mbr_of(rects: Iterable[Rect]) -> Rect:
-    """Minimum bounding rectangle of a non-empty collection of rectangles."""
-    it = iter(rects)
-    try:
-        acc = next(it)
-    except StopIteration:
-        raise GeometryError("mbr_of() requires at least one rectangle") from None
-    for r in it:
-        acc = acc.union(r)
-    return acc
+    """Minimum bounding rectangle of a non-empty collection of rectangles.
+
+    One builtin ``min``/``max`` per axis over all the corners: the same
+    floats as chaining :meth:`Rect.union`, since both keep the first of
+    equal values, without a ``Rect`` per step.
+    """
+    rects = list(rects)
+    if not rects:
+        raise GeometryError("mbr_of() requires at least one rectangle")
+    dim = rects[0].dim
+    for r in rects:
+        if r.dim != dim:
+            raise GeometryError(f"dimensionality mismatch: {dim} != {r.dim}")
+    lo = tuple(map(min, zip(*[r.lo for r in rects])))
+    hi = tuple(map(max, zip(*[r.hi for r in rects])))
+    return Rect(lo, hi)

@@ -191,19 +191,20 @@ class RStarTree(RTree):
         """Returns (split sibling, whether a forced reinsert shrank the
         subtree) — the latter forces exact MBR recomputation upward."""
         if depth == 0:
-            node.entries.append(entry)
+            node.append(entry)
             if len(node.entries) > self.max_entries:
                 return self._overflow_treatment(node, depth)
             return None, False
 
-        slot = self._choose_subtree_rstar(node, entry.rect, depth)
-        sibling, shrank = self._insert_rec(slot.child, entry, depth - 1)
+        i = self._choose_subtree_rstar(node, entry.rect, depth)
+        child = node.entries[i].child
+        sibling, shrank = self._insert_rec(child, entry, depth - 1)
         if shrank or sibling is not None:
-            slot.rect = slot.child.mbr()
+            node.set_rect(i, child.mbr())
         else:
-            slot.rect = slot.rect.union(entry.rect)
+            node.enlarge(i, entry.rect)
         if sibling is not None:
-            node.entries.append(Entry(sibling.mbr(), child=sibling))
+            node.append(Entry(sibling.mbr(), child=sibling))
             if len(node.entries) > self.max_entries:
                 own_sibling, own_shrank = self._overflow_treatment(node, depth)
                 return own_sibling, shrank or own_shrank
@@ -244,20 +245,20 @@ class RStarTree(RTree):
             reverse=True,
         )
         victims = sorted(ranked[: self.reinsert_count], reverse=True)
-        removed = [node.entries.pop(i) for i in victims]
+        removed = [node.pop(i) for i in victims]
         removed.sort(key=lambda e: _center_distance2(e.rect, center))
         return removed
 
     # ------------------------------------------------------------------
     # ChooseSubtree
     # ------------------------------------------------------------------
-    def _choose_subtree_rstar(self, node: Node, rect: Rect, depth: int) -> Entry:
+    def _choose_subtree_rstar(self, node: Node, rect: Rect, depth: int) -> int:
         if depth == 1:
             # Children are leaves: minimise overlap enlargement.
             return self._least_overlap_enlargement(node, rect)
         return self._choose_subtree(node, rect)  # Guttman criterion
 
-    def _least_overlap_enlargement(self, node: Node, rect: Rect) -> Entry:
+    def _least_overlap_enlargement(self, node: Node, rect: Rect) -> int:
         # O(n^2) per insert and the hottest R* path: work on raw corner
         # tuples, as the Guttman hot paths do.
         entries = node.entries
@@ -269,9 +270,9 @@ class RStarTree(RTree):
         # zero overlap delta and zero enlargement — the minimum
         # possible key — so only the area tie-break matters among such
         # entries, and the quadratic scan can be skipped entirely.
-        containing: Entry | None = None
+        containing: int | None = None
         containing_area = math.inf
-        for i, e in enumerate(entries):
+        for i in range(len(entries)):
             if all(
                 a <= c and d <= b
                 for a, b, c, d in zip(los[i], his[i], r_lo, r_hi)
@@ -279,13 +280,13 @@ class RStarTree(RTree):
                 area = _area_of(los[i], his[i])
                 if area < containing_area:
                     containing_area = area
-                    containing = e
+                    containing = i
         if containing is not None:
             return containing
 
-        best: Entry | None = None
+        best: int | None = None
         best_key: tuple[float, float, float] | None = None
-        for i, e in enumerate(entries):
+        for i in range(len(entries)):
             e_lo, e_hi = los[i], his[i]
             u_lo = tuple(min(a, c) for a, c in zip(e_lo, r_lo))
             u_hi = tuple(max(b, d) for b, d in zip(e_hi, r_hi))
@@ -302,7 +303,7 @@ class RStarTree(RTree):
             key = (overlap_delta, enlarged_area - area, area)
             if best_key is None or key < best_key:
                 best_key = key
-                best = e
+                best = i
         assert best is not None
         return best
 

@@ -18,6 +18,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from ..geometry import Rect
 from .node import Entry
 
 __all__ = [
@@ -26,6 +27,7 @@ __all__ = [
     "linear_split",
     "quadratic_split",
     "SPLIT_FUNCTIONS",
+    "union_areas",
 ]
 
 SplitFunction = Callable[[Sequence[Entry], int], tuple[list[int], list[int]]]
@@ -68,33 +70,36 @@ def quadratic_split(
     """
     _validate_split_input(entries, min_fill)
     n = len(entries)
+    rects = [e.rect for e in entries]
     # Transposed corners, (d, n): one contiguous row per axis.
-    los = np.array([e.rect.lo for e in entries]).T.copy()
-    his = np.array([e.rect.hi for e in entries]).T.copy()
+    los = np.array([r.lo for r in rects]).T.copy()
+    his = np.array([r.hi for r in rects]).T.copy()
     areas = _product(his - los)
 
     # PickSeeds: maximise d = area(J) - area(E1) - area(E2) over the
-    # pairs i < j, in row-major order so the first maximum wins.
-    i_idx, j_idx = np.triu_indices(n, 1)
-    union = _product(
-        np.maximum(his[:, i_idx], his[:, j_idx])
-        - np.minimum(los[:, i_idx], los[:, j_idx])
-    )
-    best = int(((union - areas[i_idx]) - areas[j_idx]).argmax())
-    seed_a, seed_b = int(i_idx[best]), int(j_idx[best])
+    # pairs i < j.  waste[i, j] is computed for every pair at once; the
+    # pairs j <= i are masked, and argmax over the flattened matrix
+    # returns the first maximum in row-major order.
+    widths = np.maximum(his[:, :, None], his[:, None, :])
+    widths -= np.minimum(los[:, :, None], los[:, None, :])
+    waste = _product(widths)
+    waste -= areas[:, None]
+    waste -= areas
+    waste[np.tri(n, dtype=bool)] = -np.inf
+    seed_a, seed_b = divmod(int(waste.argmax()), n)
 
     group_a = [seed_a]
     group_b = [seed_b]
-    cover_a_lo, cover_a_hi = los[:, seed_a].copy(), his[:, seed_a].copy()
-    cover_b_lo, cover_b_hi = los[:, seed_b].copy(), his[:, seed_b].copy()
-    area_a = float(areas[seed_a])
-    area_b = float(areas[seed_b])
-    # Enlargement of each group's cover by every entry; assigned entries
-    # are masked out of PickNext with a difference below any |d1 - d2|.
-    d1 = _enlargement(cover_a_lo, cover_a_hi, area_a, los, his)
-    d2 = _enlargement(cover_b_lo, cover_b_hi, area_b, los, his)
+    cover_a, cover_b = rects[seed_a], rects[seed_b]
+    area_a, area_b = cover_a.area, cover_b.area
+    # Enlargement of each group's cover by every entry, and PickNext's
+    # |d1 - d2| with assigned entries masked below any real difference.
+    d1 = union_areas(los, his, cover_a) - area_a
+    d2 = union_areas(los, his, cover_b) - area_b
     assigned = np.zeros(n, dtype=bool)
     assigned[[seed_a, seed_b]] = True
+    diff = np.abs(d1 - d2)
+    diff[assigned] = -1.0
     n_remaining = n - 2
 
     while n_remaining:
@@ -108,10 +113,9 @@ def quadratic_split(
             break
 
         # PickNext: first remaining entry with maximal |d1 - d2|.
-        diff = np.abs(d1 - d2)
-        diff[assigned] = -1.0
         k = int(diff.argmax())
         assigned[k] = True
+        diff[k] = -1.0
         n_remaining -= 1
 
         e1, e2 = float(d1[k]), float(d2[k])
@@ -124,20 +128,27 @@ def quadratic_split(
         else:
             choose_a = len(group_a) <= len(group_b)
 
-        # Only the chosen group's cover changes, so only its
-        # enlargement vector is recomputed.
+        # Only the chosen group's cover can change, and only when entry
+        # k lies outside it; then its area, its enlargement vector and
+        # the differences are recomputed.  Containment is tested
+        # exactly: a zero enlargement does not show it, since a
+        # zero-area cover can grow at zero enlargement.
         if choose_a:
             group_a.append(k)
-            np.minimum(cover_a_lo, los[:, k], out=cover_a_lo)
-            np.maximum(cover_a_hi, his[:, k], out=cover_a_hi)
-            area_a = float(_product(cover_a_hi - cover_a_lo))
-            d1 = _enlargement(cover_a_lo, cover_a_hi, area_a, los, his)
+            if cover_a.contains_rect(rects[k]):
+                continue
+            cover_a = cover_a.union(rects[k])
+            area_a = cover_a.area
+            d1 = union_areas(los, his, cover_a) - area_a
         else:
             group_b.append(k)
-            np.minimum(cover_b_lo, los[:, k], out=cover_b_lo)
-            np.maximum(cover_b_hi, his[:, k], out=cover_b_hi)
-            area_b = float(_product(cover_b_hi - cover_b_lo))
-            d2 = _enlargement(cover_b_lo, cover_b_hi, area_b, los, his)
+            if cover_b.contains_rect(rects[k]):
+                continue
+            cover_b = cover_b.union(rects[k])
+            area_b = cover_b.area
+            d2 = union_areas(los, his, cover_b) - area_b
+        diff = np.abs(d1 - d2)
+        diff[assigned] = -1.0
 
     return group_a, group_b
 
@@ -154,18 +165,24 @@ def _product(widths: np.ndarray) -> np.ndarray:
     return result
 
 
-def _enlargement(
-    cover_lo: np.ndarray,
-    cover_hi: np.ndarray,
-    cover_area: float,
-    los: np.ndarray,
-    his: np.ndarray,
-) -> np.ndarray:
-    """``area(cover ∪ E) - area(cover)`` for every entry ``E``."""
-    union = _product(
-        np.maximum(cover_hi[:, None], his) - np.minimum(cover_lo[:, None], los)
-    )
-    return union - cover_area
+def union_areas(los: np.ndarray, his: np.ndarray, box: Rect) -> np.ndarray:
+    """Area of each rectangle, a column of ``los``/``his``, united with
+    ``box``.
+
+    The union's width on each axis is ``max(hi, box.hi) - min(lo,
+    box.lo)`` and the widths are multiplied left to right, as
+    :attr:`Rect.area` does, so every area is the float a scalar loop
+    over the rectangles computes.
+    """
+    result = None
+    for row_lo, row_hi, a, b in zip(los, his, box.lo, box.hi):
+        width = np.maximum(row_hi, b)
+        width -= np.minimum(row_lo, a)
+        if result is None:
+            result = width
+        else:
+            result *= width
+    return result
 
 
 def linear_split(

@@ -7,6 +7,8 @@ insertion, deletion, or bulk loading is a well-formed R-tree.
 
 from __future__ import annotations
 
+import numpy as np
+
 from ..geometry import mbr_of
 from .node import Node
 from .tree import RTree
@@ -27,6 +29,8 @@ def check_tree(tree: RTree) -> None:
     * entry counts are within ``[min_entries, max_entries]`` for
       non-root nodes, and the root has >= 2 entries when internal;
     * every internal entry's rectangle equals its child's actual MBR;
+    * every internal node's block columns and areas equal its entries'
+      rectangles (the block ChooseLeaf reads, see :class:`Node`);
     * the number of stored items equals ``len(tree)``.
 
     Raises :class:`InvariantViolation` on the first failure.
@@ -73,6 +77,10 @@ def check_tree(tree: RTree) -> None:
                         f"stale MBR at depth {depth}: stored {e.rect}, actual {actual}"
                     )
                 visit(e.child, depth + 1, is_root=False)
+            if not _block_matches(node):
+                raise InvariantViolation(
+                    f"child block at depth {depth} does not mirror its entries"
+                )
 
     visit(root, 0, is_root=True)
 
@@ -87,3 +95,16 @@ def check_tree(tree: RTree) -> None:
         raise InvariantViolation(
             f"stored items {item_count} != len(tree) {len(tree)}"
         )
+
+
+def _block_matches(node: Node) -> bool:
+    """Whether an internal node's block mirrors its entries' rectangles."""
+    if node.lo is None:
+        return False
+    n = len(node.entries)
+    rects = [e.rect for e in node.entries]
+    return (
+        np.array_equal(node.lo[:, :n], np.array([r.lo for r in rects]).T)
+        and np.array_equal(node.hi[:, :n], np.array([r.hi for r in rects]).T)
+        and np.array_equal(node.areas[:n], [r.area for r in rects])
+    )

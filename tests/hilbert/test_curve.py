@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.hilbert import (
     hilbert_index,
@@ -86,6 +87,51 @@ class TestHilbert2D:
         rx, ry = xs[rm].astype(float), ys[rm].astype(float)
         row_major_dist = np.hypot(rx[gap:] - rx[:-gap], ry[gap:] - ry[:-gap]).mean()
         assert hilbert_dist < row_major_dist
+
+
+def reference_hilbert_index_2d(x, y, order):
+    """The bitwise ``xy2d`` loop, one level per step: the oracle for
+    the table-driven ``hilbert_index_2d``."""
+    x = np.array(x, dtype=np.uint64, copy=True)
+    y = np.array(y, dtype=np.uint64, copy=True)
+    d = np.zeros_like(x, dtype=np.uint64)
+    s = np.uint64(1 << (order - 1))
+    one = np.uint64(1)
+    zero = np.uint64(0)
+    while s > 0:
+        rx = np.where((x & s) > 0, one, zero)
+        ry = np.where((y & s) > 0, one, zero)
+        d += s * s * ((np.uint64(3) * rx) ^ ry)
+        # Rotate the quadrant so the curve stays continuous.
+        swap = ry == 0
+        flip = swap & (rx == 1)
+        x_f = np.where(flip, s - one - x, x)
+        y_f = np.where(flip, s - one - y, y)
+        x, y = np.where(swap, y_f, x_f), np.where(swap, x_f, y_f)
+        s >>= one
+    return d
+
+
+@st.composite
+def grid_cells(draw):
+    """An order in 1..32 and cells that always include both corners,
+    0 and ``2**order - 1``, on each axis."""
+    order = draw(st.integers(min_value=1, max_value=32))
+    cell = st.integers(min_value=0, max_value=(1 << order) - 1)
+    xs = draw(st.lists(cell, max_size=30))
+    ys = draw(st.lists(cell, min_size=len(xs), max_size=len(xs)))
+    last = (1 << order) - 1
+    xs = [0, 0, last, last] + xs
+    ys = [0, last, 0, last] + ys
+    return order, np.array(xs, dtype=np.uint64), np.array(ys, dtype=np.uint64)
+
+
+@settings(max_examples=300, deadline=None)
+@given(grid_cells())
+def test_hilbert_2d_matches_bitwise_loop(case):
+    order, xs, ys = case
+    expected = reference_hilbert_index_2d(xs, ys, order)
+    assert hilbert_index_2d(xs, ys, order).tolist() == expected.tolist()
 
 
 class TestHilbertND:

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import HealthCheck, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from repro.geometry import GeometryError, Rect
@@ -151,13 +151,14 @@ class TestStructure:
 
 
 def reference_choose_subtree(node, rect):
-    """ChooseLeaf with builtin ``max``/``min``: the oracle for the
-    conditional-expression loop in ``RTree._choose_subtree``."""
+    """ChooseLeaf as a scalar loop over the entries with builtin
+    ``max``/``min``: the oracle for the vectorised pass over the node's
+    block in ``RTree._choose_subtree``.  Returns the chosen index."""
     r_lo, r_hi = rect.lo, rect.hi
     best = None
     best_enlargement = float("inf")
     best_area = float("inf")
-    for e in node.entries:
+    for i, e in enumerate(node.entries):
         area = 1.0
         union_area = 1.0
         for a, b, c, d in zip(e.rect.lo, e.rect.hi, r_lo, r_hi):
@@ -167,24 +168,29 @@ def reference_choose_subtree(node, rect):
         if enlargement < best_enlargement or (
             enlargement == best_enlargement and area < best_area
         ):
-            best = e
+            best = i
             best_enlargement = enlargement
             best_area = area
     return best
 
 
-@st.composite
-def grid_choose_inputs(draw):
-    """An internal node and a rectangle on a 1/8 grid.
+def grid_rects(draw, dim, n):
+    """``n`` rectangles on a 1/8 grid.
 
     Small integer corners make equal enlargements and equal areas (the
-    two tie-breaks) frequent, including zero-area entries.
+    two tie-breaks) frequent, including zero-area rectangles.
     """
+    lo = draw(arrays(np.int64, (n, dim), elements=st.integers(0, 8))) / 8
+    side = draw(arrays(np.int64, (n, dim), elements=st.integers(0, 4))) / 8
+    return [Rect(tuple(l), tuple(l + s)) for l, s in zip(lo, side)]
+
+
+@st.composite
+def grid_choose_inputs(draw):
+    """An internal node and a rectangle on a 1/8 grid."""
     dim = draw(st.sampled_from([1, 2, 3]))
     n = draw(st.integers(min_value=1, max_value=40))
-    lo = draw(arrays(np.int64, (n + 1, dim), elements=st.integers(0, 8))) / 8
-    side = draw(arrays(np.int64, (n + 1, dim), elements=st.integers(0, 4))) / 8
-    rects = [Rect(tuple(l), tuple(l + s)) for l, s in zip(lo, side)]
+    rects = grid_rects(draw, dim, n + 1)
     node = Node(
         is_leaf=False,
         entries=[Entry(r, child=Node(is_leaf=True)) for r in rects[:n]],
@@ -196,6 +202,45 @@ def grid_choose_inputs(draw):
 @given(grid_choose_inputs())
 def test_choose_subtree_matches_builtin_max_min(case):
     node, rect = case
-    assert RTree()._choose_subtree(node, rect) is reference_choose_subtree(
+    assert RTree()._choose_subtree(node, rect) == reference_choose_subtree(
         node, rect
     )
+
+
+class ReferenceChooseLeafTree(RTree):
+    """An R-tree whose ChooseLeaf is the scalar oracle."""
+
+    def _choose_subtree(self, node, rect):
+        return reference_choose_subtree(node, rect)
+
+
+def layout(node):
+    """The nested item layout of a subtree."""
+    if node.is_leaf:
+        return [e.item for e in node.entries]
+    return [layout(e.child) for e in node.entries]
+
+
+@st.composite
+def grid_insert_inputs(draw):
+    dim = draw(st.sampled_from([1, 2, 3]))
+    n = draw(st.integers(min_value=1, max_value=150))
+    max_entries = draw(st.integers(min_value=3, max_value=10))
+    return grid_rects(draw, dim, n), max_entries
+
+
+@settings(
+    max_examples=60,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large],
+)
+@given(grid_insert_inputs())
+def test_vectorised_choose_leaf_builds_the_reference_tree(case):
+    rects, max_entries = case
+    fast = RTree(max_entries=max_entries)
+    reference = ReferenceChooseLeafTree(max_entries=max_entries)
+    for i, r in enumerate(rects):
+        fast.insert(r, i)
+        reference.insert(r, i)
+    check_tree(fast)
+    assert layout(fast.root) == layout(reference.root)

@@ -60,8 +60,8 @@ def test_random_operation_sequences(ops, max_entries, split):
                 i for i, r in reference.items() if r.intersects(arg)
             )
             assert sorted(tree.search(arg)) == expected
+        check_tree(tree)
 
-    check_tree(tree)
     assert len(tree) == len(reference)
     stored = sorted(item for _, item in tree.items())
     assert stored == sorted(reference)
@@ -122,6 +122,6 @@ def test_rstar_random_operation_sequences(ops, max_entries):
                 i for i, r in reference.items() if r.intersects(arg)
             )
             assert sorted(tree.search(arg)) == expected
+        check_tree(tree)
 
-    check_tree(tree)
     assert len(tree) == len(reference)

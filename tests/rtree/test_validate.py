@@ -84,3 +84,17 @@ def test_detects_nonempty_claimed_empty():
 def test_entry_rejects_child_and_item():
     with pytest.raises(ValueError):
         Entry(Rect((0, 0), (1, 1)), child=Node(is_leaf=True), item="x")
+
+
+def test_detects_stale_child_block(tree):
+    root = tree.root
+    root.lo[0, 0] += 0.25
+    with pytest.raises(InvariantViolation, match="child block"):
+        check_tree(tree)
+
+
+def test_detects_stale_child_area(tree):
+    root = tree.root
+    root.areas[len(root.entries) - 1] += 1.0
+    with pytest.raises(InvariantViolation, match="child block"):
+        check_tree(tree)
