@@ -165,16 +165,13 @@ def _bench_point_stab(rng: np.random.Generator, n_rects: int, n_points: int) -> 
 
 
 def _run_sim_loop(stabber, points: np.ndarray, buffer_size: int) -> int:
-    """The simulator's measurement loop: stab, then request top-down."""
+    """The simulator's measurement loop: stab a chunk, then request its
+    pages top-down in one batch."""
     buffer = LRUBuffer(buffer_size, ())
     misses = 0
     for start in range(0, points.shape[0], _QUERY_CHUNK):
         sparse = stabber.stab(points[start : start + _QUERY_CHUNK])
-        request = buffer.request
-        for ids in sparse.iter_rows():
-            for node_id in ids:
-                if not request(int(node_id)):
-                    misses += 1
+        misses += len(buffer.request_batch(sparse.ids.tolist()))
     return misses
 
 

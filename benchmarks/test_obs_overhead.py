@@ -1,10 +1,9 @@
-"""Benchmark guard: the no-op observability path costs ~nothing.
+"""Benchmark guard: the observability paths cost ~nothing per request.
 
-Pytest-benchmark cases drive the same LRU request stream with and
-without a :class:`~repro.obs.NullSink` attached, plus one with the
-real per-level sink for scale; a second group times a short
-``simulate()`` with the span tracer disabled, enabled, and stubbed
-out entirely.  Run with::
+Pytest-benchmark cases time a short ``simulate()`` without and with a
+:class:`~repro.obs.MetricsRegistry` (per-level counters built from
+each chunk's page and miss arrays), and with the span tracer disabled,
+enabled, and stubbed out entirely.  Run with::
 
     pytest benchmarks/test_obs_overhead.py --benchmark-only
 
@@ -14,55 +13,39 @@ so tier-1 enforces them without the benchmark plugin's orchestration).
 
 from __future__ import annotations
 
-from repro.buffer import LRUBuffer
-from repro.obs import NULL_SPAN, LevelStatsTable, NullSink, Tracer, use_tracer
+from repro.obs import NULL_SPAN, MetricsRegistry, Tracer, use_tracer
 from repro.queries import UniformPointWorkload
 from repro.simulation import simulate
 from tests.obs.test_levels import two_level_description
 
-_PAGES = [i % 80 for i in range(5000)]
-_OFFSETS = (0, 1, 10, 80)
 
-
-def _drive(sink) -> int:
-    pool = LRUBuffer(32)
-    pool.sink = sink
-    request = pool.request
-    misses = 0
-    for page in _PAGES:
-        if not request(page):
-            misses += 1
-    return misses
-
-
-def test_request_loop_no_sink(benchmark):
-    misses = benchmark(_drive, None)
-    assert misses > 0
-
-
-def test_request_loop_null_sink(benchmark):
-    misses = benchmark(_drive, NullSink())
-    assert misses == _drive(None)  # identical behaviour
-
-
-def test_request_loop_level_sink(benchmark):
-    table = LevelStatsTable(_OFFSETS)
-    misses = benchmark(_drive, table)
-    assert misses == _drive(None)
-    totals = table.totals()
-    assert totals.requests > 0
-    assert totals.hits + totals.misses == totals.requests
+def _simulate(registry=None):
+    return simulate(
+        two_level_description(),
+        UniformPointWorkload(),
+        buffer_size=2,
+        n_batches=2,
+        batch_size=2000,
+        registry=registry,
+    )
 
 
 def _simulate_once() -> float:
-    result = simulate(
-        two_level_description(),
-        UniformPointWorkload(),
-        buffer_size=3,
-        n_batches=2,
-        batch_size=300,
-    )
-    return result.node_accesses.mean
+    return _simulate().node_accesses.mean
+
+
+def test_simulate_no_registry(benchmark):
+    result = benchmark(_simulate)
+    assert result.level_stats is None
+
+
+def test_simulate_with_registry(benchmark):
+    result = benchmark(lambda: _simulate(MetricsRegistry()))
+    assert result.level_stats is not None
+    # identical behaviour: the registry only counts
+    assert [s.as_dict() for s in result.batch_stats] == [
+        s.as_dict() for s in _simulate().batch_stats
+    ]
 
 
 def test_simulate_tracer_disabled(benchmark):

@@ -46,7 +46,6 @@ from .obs import (
     LevelStats,
     LevelStatsTable,
     MetricsRegistry,
-    NullSink,
     QueryTrace,
     QueryTraceEntry,
 )
@@ -114,7 +113,6 @@ __all__ = [
     "LevelStatsTable",
     "MetricsRegistry",
     "MixedWorkload",
-    "NullSink",
     "PinningError",
     "QueryTrace",
     "QueryTraceEntry",

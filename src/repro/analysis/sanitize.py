@@ -13,10 +13,12 @@ shifting a figure by a fraction nobody can bisect.
 Mechanics:
 
 * **Thread affinity** (pool + stats): each instance is stamped with
-  its creating thread; any attribute write (stats) or ``request()``
-  (pool) from a different thread raises.  Objects are not locked to
-  a thread forever — :func:`adopt` transfers ownership explicitly,
-  which is itself a synchronization statement in the code.
+  its creating thread; any attribute write (stats) or
+  ``request_batch()`` (pool — every policy class's own loop, which
+  ``request()`` also goes through) from a different thread raises.
+  Objects are not locked to a thread forever — :func:`adopt`
+  transfers ownership explicitly, which is itself a synchronization
+  statement in the code.
 * **Lock discipline** (tracer, telemetry sink): spans legitimately
   finish on many threads, so affinity is the wrong check.  Instead
   the tracer's shared containers (``_finished``, ``_threads``) are
@@ -35,7 +37,7 @@ Mechanics:
   ``ShardedBufferPool.__init__`` is patched to register each shard's
   pool and stats with the shard's lock, so reaching around the
   sharded pool into ``_pools[s]`` without holding ``_locks[s]``
-  raises at the exact ``request()``/counter write.
+  raises at the exact ``request_batch()``/counter write.
 * Ownership lives in a module-level table keyed by ``id(obj)``
   (``BufferStats`` has ``__slots__`` and accepts no new attributes).
   The patched ``__init__`` re-stamps on construction, so id reuse
@@ -240,19 +242,24 @@ def _patch_stats(cls: type) -> None:
     cls.__setattr__ = __setattr__  # type: ignore[assignment]
 
 
-def _patch_pool(cls: type) -> None:
-    """``request()`` — the pool's mutating entry point — checks
+def _patch_pool(cls: type, policies: Any) -> None:
+    """``request_batch()`` — the mutating entry point each policy
+    class defines for itself, and the one ``request()`` calls — checks
     affinity once per call (policy structures mutate inside it)."""
     _wrap_init(cls)
-    original: Callable = cls.request
-    _save(cls, "request")
+    for policy in policies:
+        original: Callable = policy.request_batch
+        _save(policy, "request_batch")
+        policy.request_batch = _checked_request_batch(original)
 
-    def request(self: object, page: Any) -> bool:
-        _check_owner(self, "request()")
-        return original(self, page)
 
-    request.__wrapped__ = original  # type: ignore[attr-defined]
-    cls.request = request  # type: ignore[assignment]
+def _checked_request_batch(original: Callable) -> Callable:
+    def request_batch(self: object, pages: Any) -> Any:
+        _check_owner(self, "request_batch()")
+        return original(self, pages)
+
+    request_batch.__wrapped__ = original  # type: ignore[attr-defined]
+    return request_batch
 
 
 def _patch_tracer(cls: type) -> None:
@@ -301,7 +308,8 @@ def _patch_sharded(cls: type) -> None:
     shard pools — each freshly affinity-stamped by the patched
     ``BufferPool.__init__``) and converts them to lock-guarded:
     mutating a shard from any thread is legal exactly while its lock
-    is held, which is what ``ShardedBufferPool.request`` guarantees.
+    is held, which is what ``ShardedBufferPool.request`` and
+    ``request_batch`` guarantee.
     """
     original: Callable = cls.__init__
     _save(cls, "__init__")
@@ -322,12 +330,13 @@ def install() -> None:
     if _installed:
         return
     from repro.buffer.base import BufferPool, BufferStats
+    from repro.buffer.policies import POLICIES
     from repro.buffer.sharded import ShardedBufferPool
     from repro.obs.spans import Tracer
     from repro.obs.telemetry import TelemetrySink
 
     _patch_stats(BufferStats)
-    _patch_pool(BufferPool)
+    _patch_pool(BufferPool, POLICIES.values())
     _patch_sharded(ShardedBufferPool)
     _patch_tracer(Tracer)
     _patch_telemetry(TelemetrySink)

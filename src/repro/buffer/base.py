@@ -12,7 +12,7 @@ never eviction candidates — but they do occupy buffer capacity.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from collections.abc import Hashable, Iterable
+from collections.abc import Hashable, Iterable, Sequence
 
 __all__ = ["BufferPool", "BufferStats", "PinningError"]
 
@@ -46,6 +46,14 @@ class BufferStats:
         self.misses = 0
         self.evictions = 0
 
+    def add(self, requests: int, misses: int, evictions: int) -> None:
+        """Count one batch of requests (hits are the requests that did
+        not miss)."""
+        self.requests += requests
+        self.hits += requests - misses
+        self.misses += misses
+        self.evictions += evictions
+
     def snapshot(self) -> "BufferStats":
         """An independent copy of the current counter values."""
         copy = BufferStats()
@@ -74,11 +82,15 @@ class BufferStats:
 class BufferPool(ABC):
     """Base class implementing pinning and accounting.
 
-    Subclasses provide the replacement policy through three hooks:
-    :meth:`_touch` (called on a hit), :meth:`_admit` (called to make a
-    missed page resident), and :meth:`_evict` (called to choose and
-    remove a victim when the unpinned area is full).
+    Each policy supplies one method, :meth:`request_batch`: a single
+    loop over a list of page ids, in order, that serves hits, admits
+    misses and evicts its victims, updating :attr:`stats` once per call.
+    The unpinned area's resident pages are the keys of ``self._frames``
+    (a dict whose values, and any side structure, belong to the
+    policy), which is all the shared introspection needs.
     """
+
+    _frames: dict[PageId, object]
 
     def __init__(
         self, capacity: int, pinned: Iterable[PageId] = ()
@@ -93,14 +105,6 @@ class BufferPool(ABC):
         self.capacity = capacity
         self.pinned = pinned_set
         self.stats = BufferStats()
-        self.sink = None
-        """Optional observability sink (see :mod:`repro.obs.levels`).
-
-        Any object with ``record_hit(page)``, ``record_pin_hit(page)``
-        and ``record_miss(page, evicted)`` methods; ``None`` (the
-        default) keeps :meth:`request` on the uninstrumented fast
-        path — a single ``is not None`` test per call.
-        """
 
     # ------------------------------------------------------------------
     # Public interface
@@ -110,69 +114,44 @@ class BufferPool(ABC):
         """Pages available to the replacement policy."""
         return self.capacity - len(self.pinned)
 
-    def request(self, page: PageId) -> bool:
-        """Access ``page``; returns True on a buffer hit.
+    @abstractmethod
+    def request_batch(self, pages: Sequence[PageId]) -> list[int]:
+        """Access every page of ``pages`` in order; returns the
+        positions (indices into ``pages``) that missed.
 
         A miss loads the page (a disk access), evicting the policy's
         victim when the unpinned area is full.  When the unpinned
         capacity is zero, missed pages are read and immediately
         discarded — every unpinned access is then a disk access.
         """
-        stats = self.stats
-        sink = self.sink
-        stats.requests += 1
-        if page in self.pinned:
-            stats.hits += 1
-            if sink is not None:
-                sink.record_pin_hit(page)
-            return True
-        if self._resident(page):
-            stats.hits += 1
-            self._touch(page)
-            if sink is not None:
-                sink.record_hit(page)
-            return True
-        stats.misses += 1
-        evicted: PageId | None = None
-        if self.unpinned_capacity > 0:
-            if self._resident_count() >= self.unpinned_capacity:
-                evicted = self._evict()
-                stats.evictions += 1
-            self._admit(page)
-        if sink is not None:
-            sink.record_miss(page, evicted)
-        return False
+
+    def _miss_all_unpinned(self, pages: Sequence[PageId]) -> list[int]:
+        """:meth:`request_batch` with no unpinned capacity: every
+        unpinned page is read and discarded, so nothing is admitted or
+        evicted."""
+        pinned = self.pinned
+        missed = [i for i, page in enumerate(pages) if page not in pinned]
+        self.stats.add(len(pages), len(missed), 0)
+        return missed
+
+    def request(self, page: PageId) -> bool:
+        """Access ``page``; returns True on a buffer hit (a one-page
+        :meth:`request_batch`)."""
+        return not self.request_batch((page,))
+
+    def resident_pages(self) -> list[PageId]:
+        """Resident unpinned pages in the policy's own order (LRU:
+        least recently used first; FIFO: oldest first; CLOCK: ring
+        order; RANDOM: slot order)."""
+        return list(self._frames)
 
     def is_full(self) -> bool:
         """True once the unpinned area holds its full complement of pages."""
-        return self._resident_count() >= self.unpinned_capacity
+        return len(self._frames) >= self.unpinned_capacity
 
     def __contains__(self, page: PageId) -> bool:
-        return page in self.pinned or self._resident(page)
+        return page in self.pinned or page in self._frames
 
     def __len__(self) -> int:
         """Number of resident pages, pinned included."""
-        return len(self.pinned) + self._resident_count()
-
-    # ------------------------------------------------------------------
-    # Policy hooks
-    # ------------------------------------------------------------------
-    @abstractmethod
-    def _resident(self, page: PageId) -> bool:
-        """Is ``page`` in the unpinned area?"""
-
-    @abstractmethod
-    def _resident_count(self) -> int:
-        """Number of pages in the unpinned area."""
-
-    @abstractmethod
-    def _touch(self, page: PageId) -> None:
-        """Record a hit on a resident page."""
-
-    @abstractmethod
-    def _admit(self, page: PageId) -> None:
-        """Make a missed page resident (space is guaranteed)."""
-
-    @abstractmethod
-    def _evict(self) -> PageId:
-        """Choose, remove, and return a victim page."""
+        return len(self.pinned) + len(self._frames)

@@ -9,7 +9,7 @@ node put on the top of the LRU stack" (§4).
 from __future__ import annotations
 
 from collections import OrderedDict
-from collections.abc import Iterable
+from collections.abc import Iterable, Sequence
 
 from .base import BufferPool, PageId
 
@@ -25,24 +25,30 @@ class LRUBuffer(BufferPool):
 
     def __init__(self, capacity: int, pinned: Iterable[PageId] = ()) -> None:
         super().__init__(capacity, pinned)
-        self._stack: OrderedDict[PageId, None] = OrderedDict()
+        self._frames: OrderedDict[PageId, None] = OrderedDict()
 
-    def _resident(self, page: PageId) -> bool:
-        return page in self._stack
-
-    def _resident_count(self) -> int:
-        return len(self._stack)
-
-    def _touch(self, page: PageId) -> None:
-        self._stack.move_to_end(page)
-
-    def _admit(self, page: PageId) -> None:
-        self._stack[page] = None
-
-    def _evict(self) -> PageId:
-        victim, _ = self._stack.popitem(last=False)
-        return victim
-
-    def lru_order(self) -> list[PageId]:
-        """Resident unpinned pages, least recently used first (for tests)."""
-        return list(self._stack)
+    def request_batch(self, pages: Sequence[PageId]) -> list[int]:
+        stack = self._frames
+        pinned = self.pinned
+        room = self.unpinned_capacity
+        if room <= 0:
+            return self._miss_all_unpinned(pages)
+        missed = []
+        miss = missed.append
+        touch = stack.move_to_end
+        pop_lru = stack.popitem
+        size = len(stack)
+        evictions = 0
+        for i, page in enumerate(pages):
+            if page in stack:
+                touch(page)
+            elif page not in pinned:
+                miss(i)
+                if size < room:
+                    size += 1
+                else:
+                    pop_lru(False)
+                    evictions += 1
+                stack[page] = None
+        self.stats.add(len(pages), len(missed), evictions)
+        return missed

@@ -11,7 +11,7 @@ behave almost identically; see ``benchmarks/test_ablation_policies.py``.)
 from __future__ import annotations
 
 from collections import OrderedDict
-from collections.abc import Iterable
+from collections.abc import Iterable, Sequence
 
 import numpy as np
 
@@ -26,23 +26,31 @@ class FIFOBuffer(BufferPool):
 
     def __init__(self, capacity: int, pinned: Iterable[PageId] = ()) -> None:
         super().__init__(capacity, pinned)
-        self._queue: OrderedDict[PageId, None] = OrderedDict()
+        self._frames: OrderedDict[PageId, None] = OrderedDict()
 
-    def _resident(self, page: PageId) -> bool:
-        return page in self._queue
-
-    def _resident_count(self) -> int:
-        return len(self._queue)
-
-    def _touch(self, page: PageId) -> None:
-        pass  # FIFO ignores hits
-
-    def _admit(self, page: PageId) -> None:
-        self._queue[page] = None
-
-    def _evict(self) -> PageId:
-        victim, _ = self._queue.popitem(last=False)
-        return victim
+    def request_batch(self, pages: Sequence[PageId]) -> list[int]:
+        queue = self._frames
+        pinned = self.pinned
+        room = self.unpinned_capacity
+        if room <= 0:
+            return self._miss_all_unpinned(pages)
+        missed = []
+        miss = missed.append
+        pop_oldest = queue.popitem
+        size = len(queue)
+        evictions = 0
+        for i, page in enumerate(pages):
+            if page in queue or page in pinned:
+                continue  # FIFO ignores hits
+            miss(i)
+            if size < room:
+                size += 1
+            else:
+                pop_oldest(False)
+                evictions += 1
+            queue[page] = None
+        self.stats.add(len(pages), len(missed), evictions)
+        return missed
 
 
 class ClockBuffer(BufferPool):
@@ -54,36 +62,51 @@ class ClockBuffer(BufferPool):
 
     def __init__(self, capacity: int, pinned: Iterable[PageId] = ()) -> None:
         super().__init__(capacity, pinned)
-        self._pages: list[PageId] = []
-        self._referenced: dict[PageId, bool] = {}
+        self._frames: dict[PageId, bool] = {}
+        self._ring: list[PageId] = []
         self._hand = 0
 
-    def _resident(self, page: PageId) -> bool:
-        return page in self._referenced
+    def request_batch(self, pages: Sequence[PageId]) -> list[int]:
+        referenced = self._frames
+        pinned = self.pinned
+        room = self.unpinned_capacity
+        if room <= 0:
+            return self._miss_all_unpinned(pages)
+        ring = self._ring
+        hand = self._hand
+        missed = []
+        miss = missed.append
+        evictions = 0
+        for i, page in enumerate(pages):
+            if page in referenced:
+                referenced[page] = True
+            elif page not in pinned:
+                miss(i)
+                if len(ring) < room:
+                    # Insert at the hand so the sweep order stays circular.
+                    ring.insert(hand, page)
+                    hand = (hand + 1) % len(ring)
+                else:
+                    while True:
+                        hand %= room
+                        victim = ring[hand]
+                        if not referenced[victim]:
+                            break
+                        referenced[victim] = False
+                        hand += 1
+                    # Removing the victim and inserting at the hand is
+                    # one overwrite of its slot.
+                    del referenced[victim]
+                    ring[hand] = page
+                    hand = (hand + 1) % room
+                    evictions += 1
+                referenced[page] = False
+        self._hand = hand
+        self.stats.add(len(pages), len(missed), evictions)
+        return missed
 
-    def _resident_count(self) -> int:
-        return len(self._pages)
-
-    def _touch(self, page: PageId) -> None:
-        self._referenced[page] = True
-
-    def _admit(self, page: PageId) -> None:
-        # Insert at the hand so the sweep order stays circular.
-        self._pages.insert(self._hand, page)
-        self._referenced[page] = False
-        self._hand = (self._hand + 1) % len(self._pages)
-
-    def _evict(self) -> PageId:
-        while True:
-            self._hand %= len(self._pages)
-            page = self._pages[self._hand]
-            if self._referenced[page]:
-                self._referenced[page] = False
-                self._hand += 1
-            else:
-                self._pages.pop(self._hand)
-                del self._referenced[page]
-                return page
+    def resident_pages(self) -> list[PageId]:
+        return list(self._ring)
 
 
 class RandomBuffer(BufferPool):
@@ -96,32 +119,41 @@ class RandomBuffer(BufferPool):
         rng: np.random.Generator | None = None,
     ) -> None:
         super().__init__(capacity, pinned)
-        self._pages: list[PageId] = []
-        self._index: dict[PageId, int] = {}
+        self._frames: dict[PageId, int] = {}
+        self._slots: list[PageId] = []
         self._rng = rng if rng is not None else np.random.default_rng(0)
 
-    def _resident(self, page: PageId) -> bool:
-        return page in self._index
+    def request_batch(self, pages: Sequence[PageId]) -> list[int]:
+        index = self._frames
+        pinned = self.pinned
+        room = self.unpinned_capacity
+        if room <= 0:
+            return self._miss_all_unpinned(pages)
+        slots = self._slots
+        draw = self._rng.integers
+        missed = []
+        miss = missed.append
+        evictions = 0
+        for i, page in enumerate(pages):
+            if page in index or page in pinned:
+                continue  # random replacement ignores recency
+            miss(i)
+            if len(slots) >= room:
+                slot = int(draw(len(slots)))
+                victim = slots[slot]
+                last = slots.pop()
+                if slot < len(slots):
+                    slots[slot] = last
+                    index[last] = slot
+                del index[victim]
+                evictions += 1
+            index[page] = len(slots)
+            slots.append(page)
+        self.stats.add(len(pages), len(missed), evictions)
+        return missed
 
-    def _resident_count(self) -> int:
-        return len(self._pages)
-
-    def _touch(self, page: PageId) -> None:
-        pass  # random replacement ignores recency
-
-    def _admit(self, page: PageId) -> None:
-        self._index[page] = len(self._pages)
-        self._pages.append(page)
-
-    def _evict(self) -> PageId:
-        slot = int(self._rng.integers(len(self._pages)))
-        victim = self._pages[slot]
-        last = self._pages.pop()
-        if slot < len(self._pages):
-            self._pages[slot] = last
-            self._index[last] = slot
-        del self._index[victim]
-        return victim
+    def resident_pages(self) -> list[PageId]:
+        return list(self._slots)
 
 
 POLICIES = {

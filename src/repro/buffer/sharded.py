@@ -156,10 +156,12 @@ class ShardedBufferPool:
 
         Equivalent to ``sum(self.request(int(p)) for p in pages)``, but
         the batch is split once by ``pages % K`` — a boolean-mask take,
-        so each shard's pages keep their stream order — and each
-        shard's requests run under a single acquisition of its lock.
-        A shard's state depends only on the subsequence it sees, in
-        order, so the counters equal the page-at-a-time path's.
+        so each shard's pages keep their stream order — and each shard
+        serves its part with one
+        :meth:`~repro.buffer.base.BufferPool.request_batch` call under
+        a single acquisition of its lock.  A shard's state depends only
+        on the subsequence it sees, in order, so the counters equal the
+        page-at-a-time path's.
         """
         pages = np.asarray(pages)
         if self.n_shards == 1:
@@ -170,7 +172,7 @@ class ShardedBufferPool:
         hits = 0
         for lock, pool, part in zip(self._locks, self._pools, parts):
             with lock:
-                hits += sum(map(pool.request, part.tolist()))
+                hits += len(part) - len(pool.request_batch(part.tolist()))
         return hits
 
     # ------------------------------------------------------------------

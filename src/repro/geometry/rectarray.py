@@ -117,11 +117,13 @@ class RectArray:
 
     def rect(self, i: int) -> Rect:
         """The ``i``-th rectangle as a :class:`Rect`."""
-        return Rect(tuple(self.lo[i]), tuple(self.hi[i]))
+        return Rect(tuple(self.lo[i].tolist()), tuple(self.hi[i].tolist()))
 
     def __iter__(self) -> Iterator[Rect]:
-        for i in range(len(self)):
-            yield self.rect(i)
+        # Whole rows as Python floats: one tolist() per array instead
+        # of a numpy scalar per coordinate.
+        for lo, hi in zip(self.lo.tolist(), self.hi.tolist()):
+            yield Rect(tuple(lo), tuple(hi))
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, RectArray):

@@ -6,8 +6,9 @@ serves).  This package applies the same lesson to the reproduction
 itself:
 
 * :class:`MetricsRegistry` — named counters / gauges / timers;
-* :class:`LevelStatsTable` — a buffer-pool sink attributing every
-  request to the owning tree level via ``TreeDescription.level_offsets``;
+* :class:`LevelStatsTable` — per-level request/hit/miss/eviction
+  counters built from each chunk's page and miss arrays, levels
+  resolved via ``TreeDescription.level_offsets``;
 * :class:`QueryTrace` — a ring buffer of the last K queries' touched
   node ids and miss sets;
 * :class:`LatencyRecorder` — a thread-safe per-query latency
@@ -28,12 +29,13 @@ itself:
 * :mod:`repro.obs.history` — the ``BENCH_history.jsonl`` benchmark
   ledger and regression gate behind ``tools/bench_history.py``.
 
-Everything here is optional: with no registry attached, the simulator
-and buffer pools run exactly the uninstrumented hot path (one ``is
-not None`` test per request), which ``tests/obs/test_overhead.py``
-guards; with no tracer installed, :func:`span` hands back a shared
-no-op singleton, which ``benchmarks/test_obs_overhead.py`` holds to
-the same standard.
+Everything here is optional and stays off the per-request path: a
+registry adds a few array operations per chunk of queries, and
+``tests/obs/test_overhead.py`` holds ``simulate()`` with a registry
+within a constant of ``simulate()`` without one; with no tracer
+installed, :func:`span` hands back a shared no-op singleton, which
+the same file and ``benchmarks/test_obs_overhead.py`` hold to the
+same standard.
 """
 
 from __future__ import annotations
@@ -62,7 +64,7 @@ from .history import (
     validate_bench_report,
 )
 from .latency import LatencyRecorder
-from .levels import LevelStats, LevelStatsTable, NullSink
+from .levels import LevelStats, LevelStatsTable
 from .profile import AllocationSite, Profiler
 from .registry import Counter, Gauge, MetricsRegistry, Timer
 from .spans import (
@@ -100,7 +102,6 @@ __all__ = [
     "MetricDelta",
     "MetricsRegistry",
     "NULL_SPAN",
-    "NullSink",
     "Profiler",
     "QueryTrace",
     "QueryTraceEntry",

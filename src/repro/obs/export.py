@@ -12,7 +12,7 @@ backward compatible and needs no bump).
 :func:`validate_document` doubles as the invariant check the paper's
 bookkeeping demands: the per-level hit/miss/request columns must sum
 exactly to the aggregate ``BufferStats`` totals of the same window —
-a document that fails this was produced by a broken sink, not a noisy
+a document that fails this was produced by broken accounting, not a noisy
 measurement, so validation raises instead of warning.
 """
 
@@ -146,7 +146,7 @@ def sweep_section(
     probe's ``buffer_sizes``; ``probe`` records the configuration the
     sweep ran with, verbatim.  Unlike :func:`simulation_section` there
     is no per-level breakdown — the offline engine has no buffer pool
-    to attach a sink to.
+    whose residency the per-level table could read.
     """
     buffer_sizes = list(probe.get("buffer_sizes", ()))
     if len(buffer_sizes) != len(results):

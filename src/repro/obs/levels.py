@@ -5,46 +5,32 @@ have access probability ~1 and are always resident, leaf pages are
 numerous and cold, and pinning wins exactly when the top levels'
 pages dominate the hit mass (§3.3, §5.5).  Aggregate ``BufferStats``
 cannot show any of that, so this module provides the per-level table:
-a :class:`LevelStatsTable` attaches to a
-:class:`~repro.buffer.base.BufferPool` as its ``sink`` and attributes
-every request to the tree level owning the requested page, resolved
-from :attr:`~repro.rtree.TreeDescription.level_offsets`.
+a :class:`LevelStatsTable` attributes every request of a measurement
+window to the tree level owning the requested page, resolved from
+:attr:`~repro.rtree.TreeDescription.level_offsets`.
 
-Sinks are duck-typed: any object with ``record_hit(page)``,
-``record_pin_hit(page)`` and ``record_miss(page, evicted)`` methods
-works (:class:`NullSink` is the do-nothing reference implementation,
-used by the overhead guard).  The buffer pool calls the sink only when
-one is attached, so the uninstrumented path stays a single ``is not
-None`` test per request.
+The table is built from arrays, one chunk of requests at a time: the
+page ids a buffer pool was handed and the positions its
+``request_batch`` reported as misses.  One ``searchsorted`` over the
+level offsets gives every page's level and ``bincount`` gives the
+per-level requests, misses and pinned hits.  Evictions need no victim
+tracking, because every admission adds one page and every eviction
+removes one, whatever the policy.  So per level, over a window,
+
+    evictions_l = resident_l(start) + admitted_l - resident_l(end)
+
+where ``admitted_l`` is the level's misses (0 when the pool has no
+unpinned capacity, since nothing is then admitted).
 """
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from collections.abc import Sequence
 from dataclasses import dataclass
 
-__all__ = ["LevelStats", "LevelStatsTable", "NullSink"]
+import numpy as np
 
-
-class NullSink:
-    """A sink that ignores every event.
-
-    Attaching it must be indistinguishable (modulo a few percent of
-    call overhead) from attaching nothing — the pytest guard in
-    ``tests/obs/test_overhead.py`` holds this class to that claim.
-    """
-
-    __slots__ = ()
-
-    def record_hit(self, page: object) -> None:
-        """Ignore a buffer hit."""
-
-    def record_pin_hit(self, page: object) -> None:
-        """Ignore a pinned-page hit."""
-
-    def record_miss(self, page: object, evicted: object) -> None:
-        """Ignore a buffer miss."""
+__all__ = ["LevelStats", "LevelStatsTable"]
 
 
 @dataclass(frozen=True)
@@ -85,7 +71,7 @@ class LevelStats:
 
 
 class LevelStatsTable:
-    """A mutable per-level counter table usable as a buffer-pool sink.
+    """Per-level counters over one measurement window of a buffer pool.
 
     Parameters
     ----------
@@ -93,11 +79,26 @@ class LevelStatsTable:
         Global node id of the first node of each level plus a final
         sentinel — exactly
         :attr:`~repro.rtree.TreeDescription.level_offsets`.  Page ids
-        seen by the sink must be integers in ``[0, level_offsets[-1])``,
-        the level-major ids the simulator uses.
+        given to the table must be integers in
+        ``[0, level_offsets[-1])``, the level-major ids the simulator
+        uses.
+
+    A window is :meth:`reset` against the pool at its start, fed with
+    :meth:`record` after every ``request_batch`` call, and read with
+    :meth:`snapshot` against the same pool at its end.  The pool is
+    read, never changed: its pinned pages, its unpinned capacity and
+    its ``resident_pages()``.
     """
 
-    __slots__ = ("_offsets", "_requests", "_hits", "_misses", "_evictions", "_pin_hits")
+    __slots__ = (
+        "_offsets",
+        "_pinned",
+        "_has_room",
+        "_start",
+        "_requests",
+        "_misses",
+        "_pin_hits",
+    )
 
     def __init__(self, level_offsets: Sequence[int]) -> None:
         offsets = tuple(int(o) for o in level_offsets)
@@ -107,13 +108,14 @@ class LevelStatsTable:
             )
         if any(b <= a for a, b in zip(offsets, offsets[1:])):
             raise ValueError("level_offsets must be strictly increasing")
-        self._offsets = offsets
+        self._offsets = np.asarray(offsets, dtype=np.int64)
+        self._pinned = np.zeros(offsets[-1], dtype=bool)
+        self._has_room = True
         n = len(offsets) - 1
-        self._requests = [0] * n
-        self._hits = [0] * n
-        self._misses = [0] * n
-        self._evictions = [0] * n
-        self._pin_hits = [0] * n
+        self._start = np.zeros(n, dtype=np.int64)
+        self._requests = np.zeros(n, dtype=np.int64)
+        self._misses = np.zeros(n, dtype=np.int64)
+        self._pin_hits = np.zeros(n, dtype=np.int64)
 
     @property
     def n_levels(self) -> int:
@@ -124,80 +126,64 @@ class LevelStatsTable:
         """Tree level owning a global (level-major) node id."""
         if not 0 <= page < self._offsets[-1]:
             raise IndexError(f"page id {page} out of range")
-        return bisect_right(self._offsets, page) - 1
+        return int(np.searchsorted(self._offsets, page, side="right")) - 1
+
+    def _level_counts(self, pages: np.ndarray) -> np.ndarray:
+        """Per-level number of entries in ``pages``."""
+        levels = np.searchsorted(self._offsets, pages, side="right") - 1
+        return np.bincount(levels, minlength=self.n_levels)
+
+    def _residency(self, pool) -> np.ndarray:
+        """Per-level number of ``pool``'s resident unpinned pages."""
+        return self._level_counts(
+            np.fromiter(pool.resident_pages(), dtype=np.int64)
+        )
 
     # ------------------------------------------------------------------
-    # Sink protocol (called by BufferPool.request)
+    # Filling the table
     # ------------------------------------------------------------------
-    def record_hit(self, page: int) -> None:
-        """Attribute an unpinned buffer hit to ``page``'s level."""
-        level = bisect_right(self._offsets, page) - 1
-        self._requests[level] += 1
-        self._hits[level] += 1
+    def reset(self, pool) -> None:
+        """Start a window on ``pool``: zero every counter and note the
+        pool's pinned pages and per-level residency."""
+        self._pinned[:] = False
+        self._pinned[np.fromiter(pool.pinned, dtype=np.int64)] = True
+        self._has_room = pool.unpinned_capacity > 0
+        self._start = self._residency(pool)
+        for column in (self._requests, self._misses, self._pin_hits):
+            column[:] = 0
 
-    def record_pin_hit(self, page: int) -> None:
-        """Attribute a pinned-page hit to ``page``'s level."""
-        level = bisect_right(self._offsets, page) - 1
-        self._requests[level] += 1
-        self._hits[level] += 1
-        self._pin_hits[level] += 1
-
-    def record_miss(self, page: int, evicted: int | None) -> None:
-        """Attribute a miss (and the victim's eviction, if any)."""
-        level = bisect_right(self._offsets, page) - 1
-        self._requests[level] += 1
-        self._misses[level] += 1
-        if evicted is not None:
-            self._evictions[bisect_right(self._offsets, evicted) - 1] += 1
+    def record(self, pages: np.ndarray, missed: Sequence[int]) -> None:
+        """Count one chunk: ``pages`` as handed to ``request_batch`` and
+        the positions it returned as misses."""
+        pages = np.asarray(pages, dtype=np.int64)
+        self._requests += self._level_counts(pages)
+        self._misses += self._level_counts(
+            pages[np.asarray(missed, dtype=np.int64)]
+        )
+        self._pin_hits += self._level_counts(pages[self._pinned[pages]])
 
     # ------------------------------------------------------------------
     # Reading the table
     # ------------------------------------------------------------------
-    def reset(self) -> None:
-        """Zero every counter (e.g. after buffer warm-up)."""
-        for column in (
-            self._requests,
-            self._hits,
-            self._misses,
-            self._evictions,
-            self._pin_hits,
-        ):
-            for i in range(len(column)):
-                column[i] = 0
-
-    def snapshot(self) -> tuple[LevelStats, ...]:
-        """Immutable per-level rows, root (level 0) first."""
+    def snapshot(self, pool) -> tuple[LevelStats, ...]:
+        """Immutable per-level rows, root (level 0) first, for the
+        window that ends with ``pool``'s current residency."""
+        admitted = self._misses if self._has_room else 0
+        evictions = self._start + admitted - self._residency(pool)
         return tuple(
             LevelStats(
                 level=i,
-                requests=self._requests[i],
-                hits=self._hits[i],
-                misses=self._misses[i],
-                evictions=self._evictions[i],
-                pin_hits=self._pin_hits[i],
+                requests=int(self._requests[i]),
+                hits=int(self._requests[i] - self._misses[i]),
+                misses=int(self._misses[i]),
+                evictions=int(evictions[i]),
+                pin_hits=int(self._pin_hits[i]),
             )
             for i in range(self.n_levels)
         )
 
-    def totals(self) -> LevelStats:
-        """Column sums as a single pseudo-row (``level`` is -1).
-
-        By construction these equal the aggregate ``BufferStats``
-        counters of the instrumented pool over the same window — the
-        invariant ``validate_document`` re-checks on every export.
-        """
-        return LevelStats(
-            level=-1,
-            requests=sum(self._requests),
-            hits=sum(self._hits),
-            misses=sum(self._misses),
-            evictions=sum(self._evictions),
-            pin_hits=sum(self._pin_hits),
-        )
-
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        totals = self.totals()
         return (
             f"LevelStatsTable(levels={self.n_levels}, "
-            f"requests={totals.requests}, hits={totals.hits})"
+            f"requests={int(self._requests.sum())})"
         )

@@ -13,8 +13,8 @@ plain JSON-ready mapping for the ``--metrics-out`` export.
 The registry is deliberately tiny: no labels, no exposition formats,
 no background threads.  Metrics are plain attributes mutated inline,
 so attaching a registry costs one dict lookup per *named metric*, not
-per buffer request — the per-request path uses the dedicated
-:class:`~repro.obs.levels.LevelStatsTable` sink instead.
+per buffer request — per-level buffer counters come from the arrays
+of each chunk of requests (:class:`~repro.obs.levels.LevelStatsTable`).
 """
 
 from __future__ import annotations

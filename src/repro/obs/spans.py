@@ -8,7 +8,7 @@ probability build; accel index build; packing levels) and exports them
 as Chrome trace-event JSON (loadable in Perfetto / ``chrome://tracing``)
 or folded flamegraph text (``flamegraph.pl`` / speedscope input).
 
-Design rules, mirroring the PR 2 sink pattern:
+Design rules:
 
 * **Disabled is free.**  The process-wide tracer defaults to ``None``;
   the module-level :func:`span` helper then returns the shared

@@ -37,8 +37,7 @@ the serving or buffer layers.  It speaks to the service through a
 small duck-typed protocol — ``pool.shard_stats()`` /
 ``pool.shard_capacities()`` / ``pool.capacity`` / ``pool.n_shards`` /
 ``pool.policy``, ``queries_served`` / ``batches_served`` /
-``queue_depth`` — mirroring how ``BufferPool.request`` treats its
-stats sink.  The model-predicted hit ratio is passed *in* as a plain
+``queue_depth``.  The model-predicted hit ratio is passed *in* as a plain
 number by the experiments layer (which owns :func:`repro.model.
 buffer_model`); the sink records it in the header, it never computes
 it.

@@ -16,6 +16,8 @@ from __future__ import annotations
 from collections.abc import Iterable
 from dataclasses import dataclass
 
+import numpy as np
+
 __all__ = ["QueryTrace", "QueryTraceEntry"]
 
 
@@ -81,6 +83,24 @@ class QueryTrace:
         self._entries[self._total % self.capacity] = entry
         self._total += 1
         return entry
+
+    def record_chunk(
+        self, ids: np.ndarray, indptr: np.ndarray, missed: Iterable[int]
+    ) -> None:
+        """Append a chunk of queries given in CSR form: query ``q``
+        touched ``ids[indptr[q]:indptr[q + 1]]``, and ``missed`` holds
+        the positions in ``ids`` that missed.  Only the last
+        ``capacity`` queries can be retained, so only those are built;
+        the earlier ones still count towards :attr:`total_recorded`."""
+        n_queries = len(indptr) - 1
+        first = max(0, n_queries - self.capacity)
+        is_miss = np.zeros(len(ids), dtype=bool)
+        is_miss[np.asarray(missed, dtype=np.int64)] = True
+        self._total += first
+        for q in range(first, n_queries):
+            lo, hi = int(indptr[q]), int(indptr[q + 1])
+            touched = ids[lo:hi]
+            self.record(touched, touched[is_miss[lo:hi]])
 
     def entries(self) -> tuple[QueryTraceEntry, ...]:
         """Retained entries, oldest first."""

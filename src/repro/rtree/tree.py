@@ -166,7 +166,17 @@ class RTree:
     # Insertion
     # ------------------------------------------------------------------
     def insert(self, rect: Rect, item: Any = None) -> None:
-        """Insert ``rect`` with an optional payload ``item``."""
+        """Insert ``rect`` with an optional payload ``item``.
+
+        Raises :class:`~repro.geometry.GeometryError`, before any node
+        changes, when ``rect`` has another dimensionality than the
+        rectangles already stored.
+        """
+        stored = self._root.entries
+        if stored and stored[0].rect.dim != rect.dim:
+            raise GeometryError(
+                f"dimensionality mismatch: {rect.dim} != {stored[0].rect.dim}"
+            )
         self._insert_entry(Entry(rect, item=item), target_depth=self._height - 1)
         self._size += 1
 

@@ -92,10 +92,9 @@ class QueryService:
         Optional duck-typed telemetry sink (see
         :class:`repro.obs.TelemetrySink`); when set, every served
         micro-batch calls ``telemetry.observe_batch(latencies_ns)``
-        (None when the caller passed no arrivals).  Same None-default
-        discipline as ``BufferPool.request``'s stats sink: one branch
-        on the hot path, zero cost when absent.  Also settable as a
-        plain attribute after construction.
+        (None when the caller passed no arrivals).  One branch per
+        micro-batch, zero cost when absent.  Also settable as a plain
+        attribute after construction.
     """
 
     def __init__(

@@ -16,21 +16,24 @@ intervals exactly as in the paper.
 The containment step runs on the :mod:`repro.accel` layer: a point
 stabber is built once per transformed rect set (a uniform grid above a
 size threshold, the dense matrix below — ``accel=`` overrides) and
-returns per-query candidate id lists in CSR form, so the buffer loop
-only ever touches the already-sparse lists.  Both backends produce
-byte-identical id sequences (ascending = level-major = top-down), so
-traces, sinks, and measured statistics do not depend on the backend.
+returns per-query candidate id lists in CSR form.  The flat id array
+of a chunk *is* its page stream (query order, ascending within each
+query), so the buffer serves it with one ``request_batch`` call.  Both
+backends produce byte-identical id sequences (ascending = level-major
+= top-down), so traces, per-level counters and measured statistics do
+not depend on the backend.
 
 Observability: measurement batches are bracketed by
 ``BufferStats.reset()`` so every batch's counters are independent
 (``SimulationResult.batch_stats``), and passing a
-:class:`~repro.obs.MetricsRegistry` attaches a per-level sink and
-phase timers — see ``docs/OBSERVABILITY.md``.  With no registry the
-hot path is unchanged.  Independently, when a process-wide tracer is
-installed (``repro.obs.use_tracer``) the phases emit nested spans —
-simulate → warmup/measure → per-batch → sample/stab/buffer loop — at
-chunk granularity, so the un-traced run pays only the no-op span
-dispatch (held within noise by ``benchmarks/test_obs_overhead.py``).
+:class:`~repro.obs.MetricsRegistry` adds per-level counters, built
+from each chunk's page and miss arrays, and phase timers — see
+``docs/OBSERVABILITY.md``.  The buffer loop is the same either way.
+Independently, when a process-wide tracer is installed
+(``repro.obs.use_tracer``) the phases emit nested spans — simulate →
+warmup/measure → per-batch → sample/stab/buffer loop — at chunk
+granularity, so the un-traced run pays only the no-op span dispatch
+(held within a constant by ``tests/obs/test_overhead.py``).
 """
 
 from __future__ import annotations
@@ -130,13 +133,12 @@ def simulate(
         Seed or generator for query sampling (default: seed 0).
     registry:
         Optional :class:`~repro.obs.MetricsRegistry`.  When given, a
-        :class:`~repro.obs.LevelStatsTable` sink is attached to the
-        buffer pool (levels resolved via ``desc.level_offsets``), the
-        warm-up and measurement phases are timed into
-        ``simulate.warmup`` / ``simulate.measure``, and the aggregate
-        measurement-window counters land in ``buffer.*`` counters.
-        The result then carries ``level_stats``.  With ``None`` the
-        simulation runs the uninstrumented fast path.
+        :class:`~repro.obs.LevelStatsTable` counts the measurement
+        window's requests per tree level (levels resolved via
+        ``desc.level_offsets``), the warm-up and measurement phases
+        are timed into ``simulate.warmup`` / ``simulate.measure``, and
+        the aggregate measurement-window counters land in ``buffer.*``
+        counters.  The result then carries ``level_stats``.
     trace_last:
         Retain the last this-many queries' touched node ids and miss
         sets on ``SimulationResult.trace`` (0 disables tracing).
@@ -187,10 +189,11 @@ def simulate(
         pinned_ids = range(desc.level_offsets[pinned_levels])
         buffer = _make_buffer(policy, buffer_size, pinned_ids, rng)
 
-        sink: LevelStatsTable | None = None
-        if registry is not None:
-            sink = LevelStatsTable(desc.level_offsets)
-            buffer.sink = sink
+        levels = (
+            LevelStatsTable(desc.level_offsets)
+            if registry is not None
+            else None
+        )
         trace = QueryTrace(trace_last) if trace_last > 0 else None
 
         # --------------------------------------------------------------
@@ -219,8 +222,8 @@ def simulate(
         # --------------------------------------------------------------
         started = time.perf_counter_ns() if registry is not None else 0
         buffer.stats.reset()
-        if sink is not None:
-            sink.reset()
+        if levels is not None:
+            levels.reset(buffer)
         batch_snapshots: list[BufferStats] = []
         miss_means: list[float] = []
         access_means: list[float] = []
@@ -231,7 +234,8 @@ def simulate(
                     while remaining > 0:
                         step = min(_CHUNK, remaining)
                         _run_queries(
-                            buffer, stabber, workload, rng, step, trace
+                            buffer, stabber, workload, rng, step, trace,
+                            levels,
                         )
                         remaining -= step
                 snapshot = buffer.stats.snapshot()
@@ -260,7 +264,7 @@ def simulate(
         warmup_queries=warmed,
         buffer_filled=buffer_filled,
         batch_stats=tuple(batch_snapshots),
-        level_stats=sink.snapshot() if sink is not None else None,
+        level_stats=levels.snapshot(buffer) if levels is not None else None,
         trace=trace.entries() if trace is not None else (),
     )
 
@@ -346,19 +350,22 @@ def _run_queries(
     rng: np.random.Generator,
     count: int,
     trace: QueryTrace | None = None,
+    levels: LevelStatsTable | None = None,
 ) -> None:
     """Run ``count`` queries through the buffer.
 
-    All accounting lives in ``buffer.stats`` (snapshot/reset at batch
-    boundaries by the caller) — this function deliberately returns
-    nothing, so there is exactly one source of truth for hit/miss
-    counts.
+    All aggregate accounting lives in ``buffer.stats`` (snapshot/reset
+    at batch boundaries by the caller) — this function deliberately
+    returns nothing, so there is exactly one source of truth for
+    hit/miss counts.
 
     ``stabber`` answers point-stabbing queries in CSR form (one per
     component for mixtures); node ids arrive ascending (level-major),
     i.e. top-down, matching a recursive traversal's request order.
-    When ``trace`` is given, each query's touched ids and miss set are
-    recorded in the ring buffer (slower: only used when tracing).
+    The chunk's flat id array is handed to the buffer in one
+    ``request_batch`` call, whose miss positions feed ``levels``
+    (per-level counters) and ``trace`` (the last queries' touched ids
+    and miss sets, located through the CSR ``indptr``) when given.
 
     Spans are emitted per *chunk* (this function runs once per
     ``_CHUNK`` queries), never per query or per request, so the
@@ -367,46 +374,49 @@ def _run_queries(
     """
     if isinstance(workload, MixedWorkload):
         with span("simulate.stab", queries=count, mixed=True):
-            rows = _mixed_rows(stabber, workload, rng, count)
+            ids, indptr = _mixed_pages(stabber, workload, rng, count)
     else:
         with span("simulate.sample", queries=count):
             points = workload.sample_points(count, rng)
         with span("simulate.stab", queries=count):
-            rows = stabber.stab(points).iter_rows()
+            sparse = stabber.stab(points)
+            ids, indptr = sparse.ids, sparse.indptr
     with span("simulate.buffer_loop", queries=count):
-        request = buffer.request
+        missed = buffer.request_batch(ids.tolist())
+        if levels is not None:
+            levels.record(ids, missed)
         if trace is not None:
-            for ids in rows:
-                touched = [int(i) for i in ids]
-                missed = [i for i in touched if not request(i)]
-                trace.record(touched, missed)
-            return
-        for ids in rows:
-            for node_id in ids:
-                request(int(node_id))
+            trace.record_chunk(ids, indptr, missed)
 
 
-def _mixed_rows(
+def _mixed_pages(
     stabbers,
     workload: MixedWorkload,
     rng: np.random.Generator,
     count: int,
-) -> list[np.ndarray]:
-    """Per-query id lists for a mixture: each query is drawn from one
-    component and stabbed against that component's transformed MBRs,
-    with the original query order preserved for the buffer."""
+) -> tuple[np.ndarray, np.ndarray]:
+    """A mixture chunk's page stream in CSR form ``(ids, indptr)``:
+    each query is drawn from one component and stabbed against that
+    component's transformed MBRs, and the rows are laid out in the
+    original query order for the buffer."""
     assignments = workload.sample_assignments(count, rng)
-    rows: list[np.ndarray] = [_EMPTY_IDS] * count
+    lengths = np.zeros(count, dtype=np.int64)
+    parts = []
     for c, component in enumerate(workload.workloads):
         idx = np.nonzero(assignments == c)[0]
         if idx.size == 0:
             continue
         points = component.sample_points(idx.size, rng)
         sparse = stabbers[c].stab(points)
-        for j, q in enumerate(idx):
-            rows[q] = sparse.row(j)
-    return rows
-
-
-_EMPTY_IDS = np.empty(0, dtype=np.int64)
-"""Shared empty row for mixture components with no queries."""
+        lengths[idx] = np.diff(sparse.indptr)
+        parts.append((idx, sparse))
+    indptr = np.zeros(count + 1, dtype=np.int64)
+    np.cumsum(lengths, out=indptr[1:])
+    ids = np.empty(int(indptr[-1]), dtype=np.int64)
+    for idx, sparse in parts:
+        # Component row j is query idx[j]: its k-th id moves from
+        # position sparse.indptr[j] + k to indptr[idx[j]] + k.
+        shift = indptr[idx] - sparse.indptr[:-1]
+        row_lengths = np.diff(sparse.indptr)
+        ids[np.repeat(shift, row_lengths) + np.arange(sparse.nnz)] = sparse.ids
+    return ids, indptr

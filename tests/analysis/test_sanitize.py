@@ -201,6 +201,19 @@ class TestShardLockGuards:
         with pytest.raises(SanitizerError, match="guard"):
             pool._pools[0].request(123)
 
+    @pytest.mark.parametrize("policy", ["lru", "fifo", "clock", "random"])
+    def test_unguarded_shard_request_batch_raises(self, sanitizer, policy):
+        from repro.buffer import ShardedBufferPool
+
+        pool = ShardedBufferPool(16, 2, policy=policy)
+        # Each policy defines its own batch loop, so each class needs
+        # the guard — the base request() patch alone would miss it.
+        with pytest.raises(SanitizerError, match="request_batch"):
+            pool._pools[0].request_batch([2, 4, 6])
+        assert pool._pools[0].stats.requests == 0
+        with pool._locks[0]:
+            assert pool._pools[0].request_batch([2, 4, 2]) == [0, 1]
+
     def test_unguarded_shard_stats_write_raises(self, sanitizer):
         from repro.buffer import ShardedBufferPool
 

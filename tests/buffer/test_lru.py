@@ -41,7 +41,7 @@ class TestBasics:
         for p in ("a", "b", "c"):
             buf.request(p)
         buf.request("b")
-        assert buf.lru_order() == ["a", "c", "b"]
+        assert buf.resident_pages() == ["a", "c", "b"]
 
     def test_len_and_is_full(self):
         buf = LRUBuffer(2)

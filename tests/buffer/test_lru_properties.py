@@ -43,7 +43,7 @@ def test_matches_reference(capacity, pinned, requests):
     naive = NaiveLRU(capacity, frozenset(pinned))
     for page in requests:
         assert real.request(page) == naive.request(page)
-    assert real.lru_order() == naive.stack
+    assert real.resident_pages() == naive.stack
 
 
 @settings(max_examples=100)

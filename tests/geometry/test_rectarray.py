@@ -94,6 +94,19 @@ class TestAccessors:
         assert len(rects) == 3
         assert all(isinstance(r, Rect) for r in rects)
 
+    def test_iteration_and_rect_build_the_same_rects(self):
+        rng = np.random.default_rng(5)
+        lo = rng.random((40, 3))
+        arr = RectArray(lo, lo + rng.random((40, 3)))
+        expected = [
+            Rect(tuple(float(x) for x in l), tuple(float(x) for x in h))
+            for l, h in zip(arr.lo, arr.hi)
+        ]
+        assert list(arr) == [arr.rect(i) for i in range(len(arr))] == expected
+        assert all(
+            type(x) is float for r in arr for x in r.lo + r.hi
+        )
+
     def test_getitem_slice(self, sample):
         sub = sample[1:]
         assert len(sub) == 2

@@ -1,13 +1,15 @@
 """Per-level attribution: unit tests plus a hand-built 2-level tree."""
 
+import numpy as np
 import pytest
 
 from repro.buffer import LRUBuffer
 from repro.geometry import Rect
-from repro.obs import LevelStatsTable, MetricsRegistry, NullSink
+from repro.obs import LevelStatsTable, MetricsRegistry
 from repro.queries import UniformPointWorkload
 from repro.rtree import TreeDescription
 from repro.simulation import simulate
+from tests.buffer.hook_pools import EventLevelTable, HookLRU
 
 
 def two_level_description() -> TreeDescription:
@@ -18,6 +20,14 @@ def two_level_description() -> TreeDescription:
             [Rect((0, 0), (0.49, 1)), Rect((0.51, 0), (1, 1))],
         ]
     )
+
+
+def _window(table, pool, chunks):
+    """One measurement window: reset, one record per batch, snapshot."""
+    table.reset(pool)
+    for chunk in chunks:
+        table.record(np.array(chunk, dtype=np.int64), pool.request_batch(chunk))
+    return table.snapshot(pool)
 
 
 class TestLevelStatsTable:
@@ -43,74 +53,64 @@ class TestLevelStatsTable:
             table.level_of(-1)
 
     def test_attribution(self):
-        table = LevelStatsTable((0, 1, 3))
-        table.record_pin_hit(0)
-        table.record_hit(1)
-        table.record_miss(2, evicted=1)
-        root, leaves = table.snapshot()
+        # capacity 2 with the root pinned: one unpinned slot.
+        pool = LRUBuffer(2, pinned=[0])
+        root, leaves = _window(LevelStatsTable((0, 1, 3)), pool, [[0, 1, 1, 2]])
         assert (root.requests, root.hits, root.pin_hits) == (1, 1, 1)
-        assert (leaves.requests, leaves.hits, leaves.misses) == (2, 1, 1)
-        # the victim's eviction lands on the victim's level
+        assert (leaves.requests, leaves.hits, leaves.misses) == (3, 1, 2)
+        # page 2's miss evicts page 1: the eviction lands on the
+        # victim's level
         assert leaves.evictions == 1 and root.evictions == 0
 
     def test_miss_without_eviction(self):
-        table = LevelStatsTable((0, 1))
-        table.record_miss(0, evicted=None)
-        (row,) = table.snapshot()
+        (row,) = _window(LevelStatsTable((0, 1)), LRUBuffer(1), [[0]])
         assert row.misses == 1 and row.evictions == 0
 
     def test_totals_and_reset(self):
         table = LevelStatsTable((0, 2, 5))
-        for page in range(5):
-            table.record_miss(page, None)
-        totals = table.totals()
-        assert totals.requests == totals.misses == 5
-        table.reset()
-        assert table.totals().requests == 0
+        pool = LRUBuffer(5)
+        rows = _window(table, pool, [[0, 1, 2], [3, 4]])
+        assert sum(r.requests for r in rows) == sum(r.misses for r in rows) == 5
+        # A new window starts from the pool's residency: re-requesting
+        # the five resident pages hits and evicts nothing.
+        rows = _window(table, pool, [[4, 3, 2, 1, 0]])
+        assert [r.hits for r in rows] == [2, 3]
+        assert sum(r.misses + r.evictions for r in rows) == 0
 
     def test_hit_ratio(self):
         table = LevelStatsTable((0, 1))
-        assert table.snapshot()[0].hit_ratio == 0.0
-        table.record_hit(0)
-        table.record_miss(0, None)
-        assert table.snapshot()[0].hit_ratio == pytest.approx(0.5)
+        pool = LRUBuffer(1)
+        table.reset(pool)
+        assert table.snapshot(pool)[0].hit_ratio == 0.0
+        (row,) = _window(table, pool, [[0], [0]])
+        assert row.hit_ratio == pytest.approx(0.5)
 
 
-class TestBufferPoolSink:
-    def test_sink_sees_every_request_kind(self):
-        events = []
+class TestChunkAttribution:
+    def test_sees_every_request_kind(self):
+        # The same requests, one batch or page by page, through the
+        # per-event oracle: pinned hit, miss, hit, miss with eviction.
+        offsets = (0, 1, 3)
+        rows = _window(
+            LevelStatsTable(offsets), LRUBuffer(2, pinned=[0]), [[0, 1], [1, 2]]
+        )
+        oracle = HookLRU(2, pinned=[0])
+        oracle.sink = EventLevelTable(offsets)
+        for page in (0, 1, 1, 2):
+            oracle.request(page)
+        assert [
+            (r.requests, r.hits, r.misses, r.evictions, r.pin_hits)
+            for r in rows
+        ] == oracle.sink.rows()
 
-        class Recorder:
-            def record_hit(self, page):
-                events.append(("hit", page))
-
-            def record_pin_hit(self, page):
-                events.append(("pin", page))
-
-            def record_miss(self, page, evicted):
-                events.append(("miss", page, evicted))
-
-        pool = LRUBuffer(2, pinned=[0])
-        pool.sink = Recorder()
-        pool.request(0)  # pinned
-        pool.request(1)  # miss, admitted
-        pool.request(1)  # hit
-        pool.request(2)  # miss, evicts 1 (capacity 2, 1 pinned slot)
-        assert events == [
-            ("pin", 0),
-            ("miss", 1, None),
-            ("hit", 1),
-            ("miss", 2, 1),
-        ]
-
-    def test_null_sink_changes_nothing(self):
-        instrumented = LRUBuffer(2)
-        instrumented.sink = NullSink()
-        plain = LRUBuffer(2)
-        for page in (1, 2, 3, 2, 1, 3, 3):
-            assert instrumented.request(page) == plain.request(page)
-        assert instrumented.stats.as_dict() == plain.stats.as_dict()
-        assert instrumented.lru_order() == plain.lru_order()
+    def test_zero_unpinned_capacity_admits_nothing(self):
+        # Every unpinned request misses and nothing is ever resident,
+        # so the identity must charge no evictions.
+        pool = LRUBuffer(1, pinned=[0])
+        root, leaves = _window(LevelStatsTable((0, 1, 3)), pool, [[0, 1, 2, 1]])
+        assert root.pin_hits == 1 and leaves.misses == 3
+        assert root.evictions == leaves.evictions == 0
+        assert pool.stats.evictions == 0
 
 
 class TestSimulateAttribution:
@@ -159,6 +159,19 @@ class TestSimulateAttribution:
         assert exported["buffer.requests"] == sum(
             s.requests for s in result.batch_stats
         )
+
+    def test_registry_changes_nothing(self):
+        desc = two_level_description()
+        kwargs = dict(buffer_size=2, n_batches=3, batch_size=400, trace_last=3)
+        plain = simulate(desc, UniformPointWorkload(), **kwargs)
+        counted = simulate(
+            desc, UniformPointWorkload(), registry=MetricsRegistry(), **kwargs
+        )
+        assert [s.as_dict() for s in plain.batch_stats] == [
+            s.as_dict() for s in counted.batch_stats
+        ]
+        assert plain.disk_accesses == counted.disk_accesses
+        assert plain.trace == counted.trace
 
     def test_no_registry_leaves_result_bare(self):
         desc = two_level_description()

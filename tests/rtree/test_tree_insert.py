@@ -6,7 +6,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from repro.geometry import GeometryError, Rect
-from repro.rtree import Entry, Node, RTree, check_tree
+from repro.rtree import Entry, Node, RStarTree, RTree, check_tree
 from tests.conftest import random_rects
 
 
@@ -126,6 +126,23 @@ class TestInsertion:
         check_tree(t)
         result = t.search(Rect((0, 0, 0), (1, 1, 1)))
         assert sorted(result) == list(range(100))
+
+    @pytest.mark.parametrize("tree_cls", [RTree, RStarTree])
+    @pytest.mark.parametrize("n_stored", [2, 6])
+    def test_other_dimensionality_rejected_before_any_change(
+        self, tree_cls, n_stored
+    ):
+        # 2 rects keep a leaf root; 6 give a height-2 tree at capacity 4.
+        t = tree_cls(max_entries=4)
+        for i in range(n_stored):
+            t.insert(Rect((i * 0.1, 0.0), (i * 0.1 + 0.05, 0.05)), i)
+        height = t.height
+        with pytest.raises(GeometryError, match="dimensionality mismatch"):
+            t.insert(Rect((0.0, 0.0, 0.0), (0.1, 0.1, 0.1)), "3-d")
+        assert len(t) == n_stored
+        assert t.height == height
+        check_tree(t)
+        assert sorted(t.search(Rect((0, 0), (1, 1)))) == list(range(n_stored))
 
 
 class TestStructure:

@@ -248,3 +248,42 @@ class TestStabberWorkHint:
         assert (
             self._backend(mixed, warmup_cap=2_000_000) == "GridStabbingIndex"
         )
+
+
+class TestMixedPageStream:
+    """A mixture chunk's CSR page stream holds each query's row in
+    query order — the stream a row-by-row loop over the components'
+    stab results requests, drawn from the generator in the same order."""
+
+    def test_matches_row_by_row_layout(self):
+        from repro.queries import MixedWorkload
+        from repro.simulation.engine import _mixed_pages, build_stabbers
+
+        desc = pack_description(
+            random_rects(np.random.default_rng(3), 300), 8, "hs"
+        )
+        mixed = MixedWorkload(
+            [
+                (0.6, UniformPointWorkload()),
+                (0.3, UniformRegionWorkload((0.05, 0.05))),
+                (0.1, UniformRegionWorkload((0.2, 0.1))),
+            ]
+        )
+        stabbers, _ = build_stabbers(desc, mixed)
+        for count in (1, 7, 500):
+            drawn = np.random.default_rng(count)
+            ids, indptr = _mixed_pages(stabbers, mixed, drawn, count)
+            rng = np.random.default_rng(count)
+            assignments = mixed.sample_assignments(count, rng)
+            rows = [[] for _ in range(count)]
+            for c, component in enumerate(mixed.workloads):
+                idx = np.nonzero(assignments == c)[0]
+                if idx.size == 0:
+                    continue
+                sparse = stabbers[c].stab(component.sample_points(idx.size, rng))
+                for j, q in enumerate(idx):
+                    rows[q] = sparse.row(j).tolist()
+            assert [
+                ids[indptr[q] : indptr[q + 1]].tolist() for q in range(count)
+            ] == rows
+            assert drawn.bit_generator.state == rng.bit_generator.state
