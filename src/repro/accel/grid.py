@@ -32,9 +32,10 @@ from .sparse import DenseStabber, SparseContainment
 
 __all__ = ["GridStabbingIndex", "make_stabber"]
 
-_GRID_MIN_RECTS = 4096
-"""``mode="auto"`` builds a grid only at or above this many rects;
-below it the dense matrix is faster than building an index."""
+_GRID_MIN_RECTS = 64
+"""``mode="auto"`` builds a grid at or above this many rects.  From
+about 48 node MBRs up, one grid build plus one 1,024-point call beats
+the dense matrix (``docs/PERFORMANCE.md`` has the crossover table)."""
 
 _DENSE_MAX_WORK = 1 << 22
 """``mode="auto"`` with an ``n_points`` hint switches to the grid once
@@ -53,28 +54,27 @@ STABBER_MODES = ("auto", "grid", "dense")
 
 
 def _cell_coords(
-    x: np.ndarray,
-    origin: np.ndarray,
-    inv: np.ndarray,
-    nbins: np.ndarray,
-    nan_fill: np.ndarray,
+    x: np.ndarray, origin: np.ndarray, inv: np.ndarray, top: np.ndarray
 ) -> np.ndarray:
-    """Per-axis grid coordinates of ``x`` (``(m, d)`` int64).
+    """Grid coordinates of the ``(m, d)`` rows of ``x``, one int64 row per axis.
 
-    ``floor((x - origin) * inv)`` clipped into ``[0, nbins - 1]``.
-    Every operation is monotone in ``x`` (IEEE subtraction,
-    multiplication by a non-negative value, floor, clip), which is the
-    superset guarantee: ``lo <= p <= hi`` implies
-    ``cell(lo) <= cell(p) <= cell(hi)`` axis-wise.  NaN coordinates
-    (possible only from degenerate inputs like ``inf - inf``) fall back
-    to ``nan_fill``, keeping rect ranges maximal and point lookups
-    in-range.
+    ``floor((x - origin) * inv)`` clipped into ``[0, top]``, the one
+    mapping rect corners and query points share.  Every step is
+    monotone in ``x``, which is the superset guarantee: ``lo <= p <= hi``
+    implies ``cell(lo) <= cell(p) <= cell(hi)`` axis-wise.  ``fmax``
+    sends a NaN to cell 0.  A NaN comes from a NaN or infinite point,
+    which no rect contains, or from ``0 * inf``: a coordinate at the
+    origin on an axis whose subnormal span saturates ``inv``.  A rect
+    whose upper corner sits there contains only points at the origin,
+    which map to cell 0 as well.
     """
     with np.errstate(invalid="ignore", over="ignore"):
-        coords = np.floor((x - origin) * inv)
-    coords = np.where(np.isnan(coords), nan_fill, coords)
-    coords = np.clip(coords, 0.0, (nbins - 1).astype(np.float64))
-    return coords.astype(np.int64)
+        c = np.subtract(x.T, origin[:, None], order="C")
+        c *= inv[:, None]
+    np.floor(c, out=c)
+    np.fmax(c, 0.0, out=c)
+    np.minimum(c, top[:, None], out=c)
+    return c.astype(np.int64)
 
 
 def _choose_bins(rects: RectArray, span: np.ndarray, max_cells: int) -> np.ndarray:
@@ -109,19 +109,21 @@ def _expand_entries(
 ) -> tuple[np.ndarray, np.ndarray]:
     """All (flat cell, rect id) pairs covered by each rect's cell range.
 
-    Mixed-radix expansion, one axis at a time: after axis ``k`` the
-    ``flat`` array holds the flattened prefix coordinate of every
-    partial cell tuple, and ``rect_idx`` the owning rect of each.
+    ``i_lo`` and ``i_hi`` hold one row per axis.  Mixed-radix
+    expansion, one axis at a time: after axis ``k`` the ``flat`` array
+    holds the flattened prefix coordinate of every partial cell tuple,
+    and ``rect_idx`` the owning rect of each.
     """
-    n, d = i_lo.shape
+    d, n = i_lo.shape
     rect_idx = np.arange(n, dtype=np.int64)
     flat = np.zeros(n, dtype=np.int64)
     for axis in range(d):
-        counts = i_hi[rect_idx, axis] - i_lo[rect_idx, axis] + 1
+        first = i_lo[axis].take(rect_idx)
+        counts = i_hi[axis].take(rect_idx) - first + 1
         total = int(counts.sum())
         starts = np.cumsum(counts) - counts
         offsets = np.arange(total, dtype=np.int64) - np.repeat(starts, counts)
-        base = np.repeat(flat * nbins[axis] + i_lo[rect_idx, axis], counts)
+        base = np.repeat(flat * nbins[axis] + first, counts)
         flat = base + offsets
         rect_idx = np.repeat(rect_idx, counts)
     return flat, rect_idx
@@ -151,10 +153,13 @@ class GridStabbingIndex:
         self.rects = rects
         n = len(rects)
         d = rects.dim
+        # One contiguous row per axis: lower bounds in rows 0..d-1,
+        # upper bounds in rows d..2d-1, one column per rect.
+        self._bounds = np.concatenate([rects.lo.T, rects.hi.T])
         if n == 0:
             self._origin = np.zeros(d)
             self._inv = np.zeros(d)
-            self._nbins = np.ones(d, dtype=np.int64)
+            self._top = np.zeros(d)
             self._strides = np.ones(d, dtype=np.int64)
             self._indptr = np.zeros(2, dtype=np.int64)
             self._entries = np.empty(0, dtype=np.int64)
@@ -165,17 +170,15 @@ class GridStabbingIndex:
         nbins = _choose_bins(rects, span, max_cells)
         entry_cap = _ENTRIES_PER_RECT_CAP * n + 1024
         while True:
-            # Denormal spans may saturate ``inv`` to +inf; cell
-            # arithmetic stays monotone (NaN products fall back to
-            # ``nan_fill``, +inf clips to the top bin), so exactness
-            # is unaffected.
+            # Subnormal spans may saturate ``inv`` to +inf; cell
+            # arithmetic stays monotone (see ``_cell_coords``), so
+            # exactness is unaffected.
             with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
                 inv = np.where(span > 0.0, nbins / span, 0.0)
-            zero_fill = np.zeros(d)
-            top_fill = (nbins - 1).astype(np.float64)
-            i_lo = _cell_coords(rects.lo, origin, inv, nbins, zero_fill)
-            i_hi = _cell_coords(rects.hi, origin, inv, nbins, top_fill)
-            n_entries = int(np.prod(i_hi - i_lo + 1, axis=1).sum())
+            top = (nbins - 1).astype(np.float64)
+            i_lo = _cell_coords(rects.lo, origin, inv, top)
+            i_hi = _cell_coords(rects.hi, origin, inv, top)
+            n_entries = int(np.prod(i_hi - i_lo + 1, axis=0).sum())
             if n_entries <= entry_cap or bool(np.all(nbins == 1)):
                 break
             nbins = np.maximum(1, nbins // 2)
@@ -196,7 +199,7 @@ class GridStabbingIndex:
 
         self._origin = origin
         self._inv = inv
-        self._nbins = nbins
+        self._top = top
         self._strides = strides
         self._indptr = indptr
         self._entries = entries
@@ -207,7 +210,7 @@ class GridStabbingIndex:
     @property
     def n_cells(self) -> int:
         """Flattened cell count of the grid."""
-        return int(np.prod(self._nbins))
+        return self._indptr.shape[0] - 1
 
     @property
     def n_entries(self) -> int:
@@ -217,49 +220,47 @@ class GridStabbingIndex:
     @property
     def bins(self) -> tuple[int, ...]:
         """Bins per axis."""
-        return tuple(int(b) for b in self._nbins)
-
-    def candidate_lists(
-        self, points: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Unfiltered per-point candidates ``(point_idx, rect_ids, p_rows)``.
-
-        ``point_idx[k]`` is the query row owning candidate
-        ``rect_ids[k]``; ``p_rows`` are the gathered point coordinates
-        aligned with the candidates (saves a second gather in
-        :meth:`stab`).  Candidates are a superset of the true
-        containing set, ascending within each point.
-        """
-        points = np.asarray(points, dtype=np.float64)
-        if points.ndim != 2 or points.shape[1] != self.rects.dim:
-            raise GeometryError("points must be (n_points, d)")
-        m = points.shape[0]
-        coords = _cell_coords(
-            points, self._origin, self._inv, self._nbins, np.zeros(points.shape[1])
-        )
-        flat = coords @ self._strides
-        start = self._indptr[flat]
-        counts = self._indptr[flat + 1] - start
-        total = int(counts.sum())
-        point_idx = np.repeat(np.arange(m, dtype=np.int64), counts)
-        run_starts = np.cumsum(counts) - counts
-        offsets = np.arange(total, dtype=np.int64) - np.repeat(run_starts, counts)
-        rect_ids = self._entries[np.repeat(start, counts) + offsets]
-        return point_idx, rect_ids, points[point_idx]
+        return tuple(int(t) + 1 for t in self._top)
 
     def stab(self, points: np.ndarray) -> SparseContainment:
-        """Exact CSR containment of ``points`` (closed boundaries)."""
-        m = np.asarray(points).shape[0]
-        point_idx, rect_ids, p = self.candidate_lists(points)
-        lo = self.rects.lo
-        hi = self.rects.hi
-        ok = np.all((lo[rect_ids] <= p) & (p <= hi[rect_ids]), axis=1)
-        kept_points = point_idx[ok]
-        kept_ids = rect_ids[ok]
+        """Exact CSR containment of ``points`` (closed boundaries).
+
+        Each point's cell holds a run of candidate rect ids, ascending.
+        The runs are laid end to end, each axis's bounds are gathered by
+        rect id and compared row by row against the repeated point
+        coordinates, and a point's CSR row is what its run keeps.
+        """
+        points = np.asarray(points, dtype=np.float64)
+        d = self.rects.dim
+        if points.ndim != 2 or points.shape[1] != d:
+            raise GeometryError("points must be (n_points, d)")
+        m = points.shape[0]
+        flat = self._strides @ _cell_coords(
+            points, self._origin, self._inv, self._top
+        )
+        start = self._indptr.take(flat)
+        counts = self._indptr.take(flat + 1) - start
+        # The run layout and the recount keep the allocation order of
+        # the kernel this one replaced: one repeat and a running count
+        # were 10-20% faster, but left the capacity sweep's thread
+        # arenas untrimmed, 7-25% more peak RSS (docs/PERFORMANCE.md).
+        total = int(counts.sum())
+        run_starts = np.cumsum(counts) - counts
+        offsets = np.arange(total, dtype=np.int64) - np.repeat(run_starts, counts)
+        rect_ids = self._entries.take(np.repeat(start, counts) + offsets)
+        point_idx = np.repeat(np.arange(m, dtype=np.int64), counts)
+        coords = np.repeat(points.T, counts, axis=1)
+        inside = self._bounds[:d].take(rect_ids, axis=1) <= coords
+        inside &= coords <= self._bounds[d:].take(rect_ids, axis=1)
+        keep = inside[0]
+        for axis in range(1, d):
+            keep &= inside[axis]
+        kept_points = point_idx.compress(keep)
+        ids = rect_ids.compress(keep)
         indptr = np.zeros(m + 1, dtype=np.int64)
         np.cumsum(np.bincount(kept_points, minlength=m), out=indptr[1:])
         return SparseContainment(
-            indptr=indptr, ids=kept_ids, n_rects=len(self.rects)
+            indptr=indptr, ids=ids, n_rects=len(self.rects)
         )
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
@@ -277,15 +278,15 @@ def make_stabber(
 
     ``"auto"`` builds a :class:`GridStabbingIndex` at or above
     ``_GRID_MIN_RECTS`` rects and falls back to the
-    :class:`DenseStabber` oracle below (building an index for a small
-    rect set costs more than the dense matrix it avoids); ``"grid"``
-    and ``"dense"`` force the choice.  Both backends return
+    :class:`DenseStabber` oracle below (for a few dozen rects the
+    dense matrix costs less than building an index); ``"grid"`` and
+    ``"dense"`` force the choice.  Both backends return
     byte-identical :class:`~repro.accel.sparse.SparseContainment`.
 
     ``n_points`` is an optional hint: roughly how many points the
     caller will stab over the stabber's lifetime.  ``"auto"`` then
     also takes the grid whenever the dense matrix would touch
-    ``_DENSE_MAX_WORK`` rect-point pairs — a few hundred tree nodes
+    ``_DENSE_MAX_WORK`` rect-point pairs — a handful of tree nodes
     probed by a whole measurement window (the single-pass sweep of
     :mod:`repro.simulation.stackdist`) favour the grid even though a
     4096-point chunk would not.  The hint only ever changes *speed*:

@@ -18,7 +18,6 @@ must return byte-identical results.
 
 from __future__ import annotations
 
-from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -61,13 +60,6 @@ class SparseContainment:
     def row(self, q: int) -> np.ndarray:
         """Ascending rect ids containing point ``q``."""
         return self.ids[self.indptr[q] : self.indptr[q + 1]]
-
-    def iter_rows(self) -> Iterator[np.ndarray]:
-        """Yield each point's ascending id list in query order."""
-        indptr = self.indptr
-        ids = self.ids
-        for q in range(self.n_points):
-            yield ids[indptr[q] : indptr[q + 1]]
 
     def to_dense(self) -> np.ndarray:
         """The equivalent boolean ``(n_points, n_rects)`` matrix."""

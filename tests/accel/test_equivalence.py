@@ -8,7 +8,10 @@ matrix returns, on every input — including boundary-touching points
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -23,6 +26,10 @@ from repro.geometry import RectArray
 from tests.conftest import random_rects
 
 unit_floats = st.floats(min_value=0.0, max_value=1.0, width=64)
+wide_floats = st.one_of(
+    st.floats(min_value=-1.0, max_value=2.0, width=64), st.just(math.nan)
+)
+"""Point coordinates past the unit cube on both sides, or NaN."""
 
 
 @st.composite
@@ -40,9 +47,22 @@ def points_arrays(draw, max_n: int = 16, dim: int = 2) -> np.ndarray:
     return draw(arrays(np.float64, (n, dim), elements=unit_floats))
 
 
+@st.composite
+def stab_cases(draw, max_n: int = 16) -> tuple[RectArray, np.ndarray]:
+    """1-, 2- or 3-D rects in the unit cube and a batch of points that
+    may fall outside the cube on either side or be NaN."""
+    dim = draw(st.integers(min_value=1, max_value=3))
+    rects = draw(rect_arrays(max_n=max_n, dim=dim))
+    m = draw(st.integers(min_value=0, max_value=max_n))
+    points = draw(arrays(np.float64, (m, dim), elements=wide_floats))
+    return rects, points
+
+
 def assert_same_stab(rects: RectArray, points: np.ndarray) -> None:
     grid = GridStabbingIndex(rects).stab(points)
     dense = DenseStabber(rects).stab(points)
+    assert grid.indptr.dtype == dense.indptr.dtype == np.int64
+    assert grid.ids.dtype == dense.ids.dtype == np.int64
     assert np.array_equal(grid.indptr, dense.indptr)
     assert np.array_equal(grid.ids, dense.ids)
 
@@ -53,8 +73,10 @@ class TestGridEqualsDense:
     def test_random(self, rects, points):
         assert_same_stab(rects, points)
 
-    @settings(max_examples=40)
-    @given(rect_arrays())
+    @settings(max_examples=60)
+    @given(st.integers(min_value=1, max_value=3).flatmap(
+        lambda dim: rect_arrays(dim=dim)
+    ))
     def test_boundary_touching_points(self, rects):
         # Query exactly the corners: closed boundaries must count.
         points = np.concatenate([rects.lo, rects.hi])
@@ -76,9 +98,44 @@ class TestGridEqualsDense:
         )
         assert_same_stab(tiled, points)
 
+    @settings(max_examples=100)
+    @given(stab_cases())
+    def test_any_dimension_outside_and_nan_points(self, case):
+        # Points below and above the grid exercise the clip at both
+        # ends; NaN points map to a cell but lie in no rect.
+        assert_same_stab(*case)
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_empty_point_batch_and_rect_set(self, rng, dim):
+        rects = random_rects(rng, 100, dim=dim)
+        empty_rects = RectArray(np.empty((0, dim)), np.empty((0, dim)))
+        points = rng.random((7, dim)) * 3.0 - 1.0
+        points[0, 0] = np.nan
+        no_points = np.empty((0, dim))
+        assert_same_stab(rects, no_points)
+        assert_same_stab(empty_rects, points)
+        assert_same_stab(empty_rects, no_points)
+
+    def test_subnormal_span(self):
+        # A span of one subnormal saturates ``nbins / span`` to +inf, so
+        # a corner or a point at the origin maps through
+        # ``0 * inf = NaN``, and both must land in the same cell.
+        tiny = 5e-324
+        lo = np.array([[0.0, 0.0], [0.0, tiny], [tiny, 0.0]])
+        hi = np.array([[0.0, tiny], [tiny, tiny], [tiny, tiny]])
+        points = np.array(
+            [[0.0, 0.0], [tiny, tiny], [0.0, tiny], [-tiny, 0.0], [1.0, 0.0]]
+        )
+        assert_same_stab(RectArray(lo, hi), points)
+
     def test_large_random(self, rng):
         rects = random_rects(rng, 5000, max_side=0.05)
         points = rng.random((2000, 2))
+        assert_same_stab(rects, points)
+
+    def test_large_random_3d(self, rng):
+        rects = random_rects(rng, 2000, dim=3, max_side=0.1)
+        points = rng.random((2000, 3)) * 1.2 - 0.1
         assert_same_stab(rects, points)
 
     def test_pathological_full_cover(self, rng):
@@ -88,18 +145,21 @@ class TestGridEqualsDense:
         rects = RectArray(np.zeros((n, 2)), np.ones((n, 2)))
         assert_same_stab(rects, rng.random((50, 2)))
 
+    # One grid build plus one 1,024-point call beats the dense matrix
+    # from about 48 node MBRs up (docs/PERFORMANCE.md): auto mode
+    # switches at 64.
     def test_auto_mode_picks_dense_for_small_sets(self, rng):
-        stabber = make_stabber(random_rects(rng, 10), mode="auto")
+        stabber = make_stabber(random_rects(rng, 63), mode="auto")
         assert isinstance(stabber, DenseStabber)
 
     def test_auto_mode_picks_grid_for_large_sets(self, rng):
-        stabber = make_stabber(random_rects(rng, 5000), mode="auto")
+        stabber = make_stabber(random_rects(rng, 64), mode="auto")
         assert isinstance(stabber, GridStabbingIndex)
 
     def test_auto_mode_point_hint_promotes_to_grid(self, rng):
         # A small rect set stabbed by enough points favours the grid:
         # dense work is rects x points, grid work is near-linear.
-        rects = random_rects(rng, 500)
+        rects = random_rects(rng, 30)
         assert isinstance(
             make_stabber(rects, mode="auto", n_points=200_000),
             GridStabbingIndex,

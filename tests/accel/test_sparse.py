@@ -30,19 +30,10 @@ class TestFromDense:
             assert np.array_equal(row, np.nonzero(matrix[q])[0])
             assert np.all(np.diff(row) > 0)
 
-    def test_iter_rows_matches_row(self, rng):
-        matrix = rng.random((5, 6)) < 0.5
-        sparse = SparseContainment.from_dense(matrix)
-        rows = list(sparse.iter_rows())
-        assert len(rows) == 5
-        for q, ids in enumerate(rows):
-            assert np.array_equal(ids, sparse.row(q))
-
     def test_empty_matrix(self):
         sparse = SparseContainment.from_dense(np.zeros((0, 4), dtype=bool))
         assert sparse.n_points == 0
         assert sparse.nnz == 0
-        assert list(sparse.iter_rows()) == []
 
     def test_all_true_matrix(self):
         sparse = SparseContainment.from_dense(np.ones((3, 4), dtype=bool))

@@ -63,6 +63,15 @@ class TestValidation:
             )
 
 
+class TestBackend:
+    def test_unhinted_service_over_a_tree_gets_the_grid(self, desc):
+        # Without an expected_queries hint the rect count alone decides:
+        # from 64 node MBRs up the grid beats the dense matrix.
+        assert desc.total_nodes >= 64
+        service = QueryService(desc, UniformPointWorkload(), 10)
+        assert service.backend == "GridStabbingIndex"
+
+
 class TestKOneExactness:
     """The correctness anchor: K=1 serving == the batch simulator."""
 
