@@ -156,15 +156,15 @@ __all__ = [
     "tiger_like",
     "unit_rect",
     "validate_model",
-    "__version__",
 ]
 
 
 def _maybe_install_sanitizer() -> None:
     """Activate the shared-state sanitizer when REPRO_SANITIZE=1.
 
-    Lazy imports keep the cost at zero for normal runs: the analysis
-    package is only pulled in when the flag is set.
+    ``1``, ``true`` and ``on`` set the flag; this is the one place
+    that reads it.  Lazy imports keep the cost at zero for normal
+    runs: the analysis package is only pulled in when the flag is set.
     """
     import os
 

@@ -1,8 +1,7 @@
 """Command-line front end: ``repro-analysis [paths] [options]``.
 
-Exit status: 0 when the tree is clean (or every finding is covered by
-the ``--baseline`` file), 1 when *new* violations are found, 2 on
-usage errors.  Formats:
+Exit status: 0 when the tree is clean, 1 when violations are found,
+2 on usage errors.  Formats:
 
 ``text``
     One ``file:line:col RLxxx message`` line per violation —
@@ -10,7 +9,7 @@ usage errors.  Formats:
 ``json``
     The same records plus a summary, for tooling and CI artifacts.
 ``github``
-    GitHub Actions workflow commands (``::error file=…``), so new
+    GitHub Actions workflow commands (``::error file=…``), so
     findings annotate the offending lines directly in a PR diff.
 
 ``--select`` accepts ranges: ``--select RL001-RL012`` expands to
@@ -26,7 +25,6 @@ import sys
 from pathlib import Path
 
 from . import rules as _rules  # noqa: F401  (import populates the registry)
-from .baseline import apply_baseline, load_baseline, write_baseline
 from .config import Config, find_pyproject, load_config
 from .core import Violation, registry, run_analysis
 
@@ -93,18 +91,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="comma-separated rule ids to skip",
     )
     parser.add_argument(
-        "--baseline",
-        metavar="PATH",
-        help="accepted-violations file: exit 0 unless NEW findings "
-        "appear beyond it",
-    )
-    parser.add_argument(
-        "--write-baseline",
-        metavar="PATH",
-        help="write the current findings as the accepted baseline "
-        "and exit 0",
-    )
-    parser.add_argument(
         "--pyproject",
         metavar="PATH",
         help="pyproject.toml to read [tool.repro.analysis] from "
@@ -124,8 +110,8 @@ def _resolve_config(
     """The effective config, and the analysis root (pyproject's home).
 
     Anchoring the root at the pyproject keeps reported paths and the
-    usage index stable no matter where the CLI is invoked from — a
-    baseline written in CI must match one written from an editor.
+    usage index stable no matter where the CLI is invoked from — CI
+    must report the same findings as an editor.
     """
     pyproject = (
         Path(args.pyproject) if args.pyproject else find_pyproject(Path.cwd())
@@ -174,30 +160,11 @@ def main(argv: list[str] | None = None) -> int:
     except ValueError as exc:  # unknown rule id in --select
         parser.error(str(exc))
 
-    if args.write_baseline:
-        entries = write_baseline(Path(args.write_baseline), violations)
-        print(
-            f"reprolint: wrote {entries} baseline entr"
-            f"{'y' if entries == 1 else 'ies'} "
-            f"({len(violations)} finding(s)) to {args.write_baseline}",
-            file=sys.stderr,
-        )
-        return 0
-
-    matched = 0
-    if args.baseline:
-        try:
-            baseline = load_baseline(Path(args.baseline))
-        except (OSError, ValueError, KeyError) as exc:
-            parser.error(f"cannot load baseline: {exc}")
-        violations, matched = apply_baseline(violations, baseline)
-
     if args.format == "json":
         print(
             json.dumps(
                 {
                     "files_checked": n_files,
-                    "baseline_matched": matched,
                     "violations": [v.to_dict() for v in violations],
                 },
                 indent=2,
@@ -210,16 +177,12 @@ def main(argv: list[str] | None = None) -> int:
             else:
                 print(violation.format())
         noun = "file" if n_files == 1 else "files"
-        suffix = f" ({matched} baselined)" if matched else ""
         if violations:
             print(
-                f"reprolint: {len(violations)} new violation(s) in "
-                f"{n_files} {noun} checked{suffix}",
+                f"reprolint: {len(violations)} violation(s) in "
+                f"{n_files} {noun} checked",
                 file=sys.stderr,
             )
         else:
-            print(
-                f"reprolint: {n_files} {noun} clean{suffix}",
-                file=sys.stderr,
-            )
+            print(f"reprolint: {n_files} {noun} clean", file=sys.stderr)
     return 1 if violations else 0

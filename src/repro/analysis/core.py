@@ -14,7 +14,7 @@ Suppression works through inline pragmas::
 
 ``disable`` silences the named rules on its own line; ``disable-file``
 silences them for the whole module.  ``disable=all`` is accepted in
-both forms.  Every baseline pragma is an auditable marker of a
+both forms.  Every pragma is an auditable marker of a
 deliberate exception — grep for ``reprolint: disable`` to review them.
 """
 

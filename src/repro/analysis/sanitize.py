@@ -1,8 +1,9 @@
 """Opt-in shared-state sanitizer: the dynamic half of RL009.
 
 The static rule reasons about *code*; this module watches *objects*.
-When installed (``REPRO_SANITIZE=1`` in the environment, or an
-explicit :func:`install`), the mutable runtime classes that matter —
+When installed (``import repro`` with ``REPRO_SANITIZE`` set to
+``1``, ``true`` or ``on``, or an explicit :func:`install`), the
+mutable runtime classes that matter —
 :class:`~repro.buffer.base.BufferPool`,
 :class:`~repro.buffer.base.BufferStats`, and
 :class:`~repro.obs.spans.Tracer` — are patched in place so that
@@ -55,22 +56,17 @@ is a leaf package in the canonical DAG (RL008) and must not import
 
 from __future__ import annotations
 
-import os
 import threading
 from typing import Any, Callable
 
 __all__ = [
-    "ENV_FLAG",
     "SanitizerError",
     "adopt",
-    "enabled_by_env",
     "guard",
     "install",
     "is_installed",
     "uninstall",
 ]
-
-ENV_FLAG = "REPRO_SANITIZE"
 
 _owner_lock = threading.Lock()
 _owners: dict[int, int] = {}
@@ -81,11 +77,6 @@ _installed = False
 
 class SanitizerError(RuntimeError):
     """An unsynchronized cross-thread mutation was detected."""
-
-
-def enabled_by_env() -> bool:
-    """Is the sanitizer requested via ``REPRO_SANITIZE``?"""
-    return os.environ.get(ENV_FLAG, "").strip() in ("1", "true", "on")
 
 
 def is_installed() -> bool:

@@ -2,35 +2,26 @@
 
 Data sets and tree descriptions are deterministic and cached per
 process, so a bench run builds each tree (including the slow TAT
-trees) exactly once.  Simulation budgets honour environment variables
-so the validation experiments can be scaled up toward the paper's
-20 × 10⁶ queries when runtime allows:
+trees) exactly once.
 
-* ``REPRO_SIM_BATCHES``  (default 20, as in the paper)
-* ``REPRO_SIM_QUERIES``  (queries per batch, default 20,000)
-* ``REPRO_PROBE_BATCHES`` / ``REPRO_PROBE_QUERIES`` (defaults 5 /
-  2,000: the smoke-sized budget every ``--metrics-out`` probe runs
-  with — one definition here instead of one per probe entry point)
-* ``REPRO_SERVE_SHARDS`` (default 1: buffer shards K for the serving
-  probes; K=1 reproduces the batch simulator bit-exactly, see
-  ``docs/SERVING.md``)
-* ``REPRO_SERVE_TELEMETRY`` (a path: stream live serving telemetry
-  there as ``repro-telemetry/1`` JSONL — the env twin of
-  ``runner --telemetry-out``; empty/unset disables the sink)
-* ``REPRO_SERVE_TELEMETRY_INTERVAL_MS`` (default 100: the sink's
-  sampling period)
-* ``REPRO_SERVE_SLO_P99_MS`` / ``REPRO_SERVE_SLO_HIT_FLOOR`` /
-  ``REPRO_SERVE_SLO_BUDGET`` (defaults 50 / 0.0 / 0.01: the SLO
-  monitor's p99 target, hit-ratio floor and error budget for
-  telemetry-enabled probes)
-* ``REPRO_SERVE_SLO_FAST_TICKS`` / ``REPRO_SERVE_SLO_SLOW_TICKS``
-  (defaults 5 / 60: the multiwindow alert's fast and slow trailing
-  windows, in ticks — the monitor alerts only when both burn)
+A run has three settings, read from the environment once and validated
+by :func:`run_config` before the first experiment starts:
+
+* ``REPRO_SIM_BATCHES`` (default 20, as in the paper; at least 2) and
+  ``REPRO_SIM_QUERIES`` (queries per batch, default 20,000; at least
+  1): Table 1's simulation budget, which scales toward the paper's
+  20 × 10⁶ queries when runtime allows;
+* ``REPRO_SERVE_SHARDS`` (default 1; at least 1): buffer shards K for
+  the ``--serve`` probes.  K=1 reproduces the batch simulator
+  bit-exactly, see ``docs/SERVING.md``.
+
+``REPRO_SANITIZE`` is read by ``import repro`` itself.
 """
 
 from __future__ import annotations
 
 import os
+from dataclasses import dataclass, replace
 from functools import lru_cache
 from typing import Sequence
 
@@ -46,104 +37,70 @@ from ..rtree import TreeDescription
 
 __all__ = [
     "DATASET_SEEDS",
+    "RunConfig",
     "Table",
     "get_dataset",
     "get_description",
-    "probe_budget",
-    "serve_shards",
+    "run_config",
     "serve_slo",
-    "serve_telemetry",
-    "serve_telemetry_interval_s",
-    "sim_batches",
-    "sim_queries_per_batch",
 ]
 
 DATASET_SEEDS = {"tiger": 1998, "cfd": 737, "region": 11, "point": 13}
 """Fixed seeds: every experiment sees the same data sets."""
 
 
-def sim_batches() -> int:
-    """Number of batch-means batches for simulations."""
-    return int(os.environ.get("REPRO_SIM_BATCHES", "20"))
+@dataclass(frozen=True)
+class RunConfig:
+    """The validated settings of one run (see the module docstring)."""
 
-
-def sim_queries_per_batch() -> int:
+    sim_batches: int = 20
+    """Batch-means batches for Table 1's simulation."""
+    sim_queries: int = 20_000
     """Queries per simulation batch."""
-    return int(os.environ.get("REPRO_SIM_QUERIES", "20000"))
+    serve_shards: int = 1
+    """Buffer shards K for the serving probes."""
 
 
-def probe_budget() -> tuple[int, int]:
-    """``(n_batches, batch_size)`` for ``--metrics-out`` probes.
+_SETTINGS = (
+    ("REPRO_SIM_BATCHES", "sim_batches", 2),
+    ("REPRO_SIM_QUERIES", "sim_queries", 1),
+    ("REPRO_SERVE_SHARDS", "serve_shards", 1),
+)
+"""(environment variable, :class:`RunConfig` field, smallest value)."""
 
-    The one definition of the smoke-sized probe budget: every probe
-    entry point (:mod:`repro.experiments.probes`) resolves its default
-    budget here instead of re-deriving it, so scaling probes up means
-    setting ``REPRO_PROBE_BATCHES`` / ``REPRO_PROBE_QUERIES`` once.
+
+def run_config(defaults: RunConfig = RunConfig()) -> RunConfig:
+    """The run's settings from the environment.
+
+    An unset variable keeps its value from ``defaults``.  A set one
+    must be an integer at or above its minimum; otherwise the
+    ``ValueError`` names the variable and the value.
     """
-    n_batches = int(os.environ.get("REPRO_PROBE_BATCHES", "5"))
-    batch_size = int(os.environ.get("REPRO_PROBE_QUERIES", "2000"))
-    if n_batches < 2:
-        raise ValueError("REPRO_PROBE_BATCHES must be >= 2 (batch means)")
-    if batch_size < 1:
-        raise ValueError("REPRO_PROBE_QUERIES must be positive")
-    return n_batches, batch_size
+    values: dict[str, int] = {}
+    for variable, field, minimum in _SETTINGS:
+        raw = os.environ.get(variable)
+        if raw is None:
+            continue
+        try:
+            value: int | None = int(raw)
+        except ValueError:
+            value = None
+        if value is None or value < minimum:
+            raise ValueError(
+                f"{variable}={raw!r} is not an integer >= {minimum}"
+            )
+        values[field] = value
+    return replace(defaults, **values)
 
 
-def serve_shards() -> int:
-    """Buffer shards K for serving probes (default 1 = paper-exact)."""
-    shards = int(os.environ.get("REPRO_SERVE_SHARDS", "1"))
-    if shards < 1:
-        raise ValueError("REPRO_SERVE_SHARDS must be >= 1")
-    return shards
+def serve_slo() -> tuple[float, float]:
+    """``(p99_target_us, hit_ratio_floor)`` of the serving probes' SLO.
 
-
-def serve_telemetry() -> str | None:
-    """Telemetry stream path for serving probes (None = disabled).
-
-    The environment twin of ``runner --telemetry-out``; an explicit
-    CLI flag wins over the variable.
+    A 50 ms p99, generous for smoke-sized probes on shared CI hosts,
+    and a 0.0 hit-ratio floor, which never burns.  The error budget
+    and alert windows are :class:`~repro.obs.SLOMonitor`'s defaults.
     """
-    path = os.environ.get("REPRO_SERVE_TELEMETRY", "").strip()
-    return path or None
-
-
-def serve_telemetry_interval_s() -> float:
-    """Telemetry sampling period in seconds (default 0.1 = 100 ms)."""
-    interval_ms = float(
-        os.environ.get("REPRO_SERVE_TELEMETRY_INTERVAL_MS", "100")
-    )
-    if interval_ms <= 0:
-        raise ValueError("REPRO_SERVE_TELEMETRY_INTERVAL_MS must be positive")
-    return interval_ms / 1000.0
-
-
-def serve_slo() -> tuple[float, float, float, int, int]:
-    """``(p99_target_us, hit_ratio_floor, budget, fast, slow)`` for the SLO.
-
-    Defaults: 50 ms p99 (generous for smoke-sized probes on shared CI
-    hosts), a 0.0 hit-ratio floor (never burns — raise it per run when
-    the Eq. 5/6 prediction for the configuration is known), a 1%
-    error budget, and 5-tick fast / 60-tick slow alert windows (the
-    monitor pages only when both burn above 1.0).
-    """
-    p99_ms = float(os.environ.get("REPRO_SERVE_SLO_P99_MS", "50"))
-    hit_floor = float(os.environ.get("REPRO_SERVE_SLO_HIT_FLOOR", "0.0"))
-    budget = float(os.environ.get("REPRO_SERVE_SLO_BUDGET", "0.01"))
-    fast = int(os.environ.get("REPRO_SERVE_SLO_FAST_TICKS", "5"))
-    slow = int(os.environ.get("REPRO_SERVE_SLO_SLOW_TICKS", "60"))
-    if p99_ms <= 0:
-        raise ValueError("REPRO_SERVE_SLO_P99_MS must be positive")
-    if not 0.0 <= hit_floor <= 1.0:
-        raise ValueError("REPRO_SERVE_SLO_HIT_FLOOR must be in [0, 1]")
-    if not 0.0 < budget <= 1.0:
-        raise ValueError("REPRO_SERVE_SLO_BUDGET must be in (0, 1]")
-    if fast < 1:
-        raise ValueError("REPRO_SERVE_SLO_FAST_TICKS must be >= 1")
-    if slow < fast:
-        raise ValueError(
-            "REPRO_SERVE_SLO_SLOW_TICKS must be >= REPRO_SERVE_SLO_FAST_TICKS"
-        )
-    return p99_ms * 1000.0, hit_floor, budget, fast, slow
+    return 50_000.0, 0.0
 
 
 @lru_cache(maxsize=None)

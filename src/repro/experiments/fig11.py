@@ -20,13 +20,7 @@ from dataclasses import dataclass
 from ..buffer import PinningError
 from ..model import buffer_model
 from ..queries import UniformPointWorkload, UniformRegionWorkload
-from ..simulation import simulate_sweep
-from .common import (
-    Table,
-    get_description,
-    sim_batches,
-    sim_queries_per_batch,
-)
+from .common import Table, get_description
 
 __all__ = ["Fig11Result", "run"]
 
@@ -87,59 +81,21 @@ def run(
     buffer_sizes=DEFAULT_BUFFER_SIZES,
     query_sides=DEFAULT_QUERY_SIDES,
     loader: str = "hs",
-    simulated: bool = False,
-    n_batches: int | None = None,
-    batch_size: int | None = None,
 ) -> Fig11Result:
-    """Reproduce Fig. 11 (pinning benefit vs buffer size and query size).
-
-    ``simulated=True`` measures the left panel with one stack-distance
-    sweep per pinning level (:func:`~repro.simulation.simulate_sweep`),
-    restricted to the buffer sizes that can hold the pinned pages —
-    infeasible cells stay ``None``, exactly as in the model.  The right
-    panel (a query-side sweep at one buffer size) stays analytical.
-    """
+    """Reproduce Fig. 11 (pinning benefit vs buffer size and query size)."""
     point = UniformPointWorkload()
-    if simulated:
-        n_batches = n_batches if n_batches is not None else sim_batches()
-        batch_size = (
-            batch_size if batch_size is not None else sim_queries_per_batch()
-        )
 
     # Left panel: Long Beach, node size 25, pinning 0-3 levels.
     tiger_desc = get_description("tiger", None, CAPACITY, loader)
     left: dict[int, list[float | None]] = {p: [] for p in (0, 1, 2, 3)}
-    if simulated:
+    for b in buffer_sizes:
         for p in left:
-            pinned_pages = tiger_desc.pages_in_top_levels(p)
-            feasible = [b for b in buffer_sizes if b >= pinned_pages]
-            results = (
-                simulate_sweep(
-                    tiger_desc,
-                    point,
-                    feasible,
-                    pinned_levels=p,
-                    n_batches=n_batches,
-                    batch_size=batch_size,
-                )
-                if feasible
-                else ()
-            )
-            by_size = {
-                b: r.disk_accesses.mean for b, r in zip(feasible, results)
-            }
-            left[p] = [by_size.get(b) for b in buffer_sizes]
-    else:
-        for b in buffer_sizes:
-            for p in left:
-                try:
-                    result = buffer_model(
-                        tiger_desc, point, b, pinned_levels=p
-                    )
-                except PinningError:
-                    left[p].append(None)
-                else:
-                    left[p].append(result.disk_accesses)
+            try:
+                result = buffer_model(tiger_desc, point, b, pinned_levels=p)
+            except PinningError:
+                left[p].append(None)
+            else:
+                left[p].append(result.disk_accesses)
 
     # Right panel: synthetic points, sweep the query side.
     deep_desc = get_description("point", RIGHT_PANEL_POINTS, CAPACITY, loader)

@@ -16,13 +16,7 @@ from dataclasses import dataclass
 
 from ..model import buffer_model_sweep, expected_node_accesses
 from ..queries import UniformPointWorkload, UniformRegionWorkload
-from ..simulation import simulate_sweep
-from .common import (
-    Table,
-    get_description,
-    sim_batches,
-    sim_queries_per_batch,
-)
+from .common import Table, get_description
 
 __all__ = ["Fig6Result", "run"]
 
@@ -101,26 +95,10 @@ def run(
     buffer_sizes=DEFAULT_BUFFER_SIZES,
     loaders=DEFAULT_LOADERS,
     region_side: float = REGION_SIDE,
-    simulated: bool = False,
-    n_batches: int | None = None,
-    batch_size: int | None = None,
 ) -> Fig6Result:
-    """Reproduce Fig. 6.
-
-    By default the curves come from the analytical buffer model.  With
-    ``simulated=True`` every curve is measured instead, via one
-    stack-distance sweep per (loader, workload) — all buffer sizes in
-    a single pass over one query stream
-    (:func:`~repro.simulation.simulate_sweep`); budgets default to the
-    ``REPRO_SIM_*`` environment overrides.
-    """
+    """Reproduce Fig. 6 from the analytical buffer model."""
     point = UniformPointWorkload()
     region = UniformRegionWorkload((region_side, region_side))
-    if simulated:
-        n_batches = n_batches if n_batches is not None else sim_batches()
-        batch_size = (
-            batch_size if batch_size is not None else sim_queries_per_batch()
-        )
 
     point_curves: dict[str, tuple[float, ...]] = {}
     region_curves: dict[str, tuple[float, ...]] = {}
@@ -130,36 +108,14 @@ def run(
         desc = get_description("tiger", None, CAPACITY, loader)
         point_nodes[loader] = expected_node_accesses(desc, point)
         region_nodes[loader] = expected_node_accesses(desc, region)
-        if simulated:
-            point_curves[loader] = tuple(
-                r.disk_accesses.mean
-                for r in simulate_sweep(
-                    desc,
-                    point,
-                    buffer_sizes,
-                    n_batches=n_batches,
-                    batch_size=batch_size,
-                )
-            )
-            region_curves[loader] = tuple(
-                r.disk_accesses.mean
-                for r in simulate_sweep(
-                    desc,
-                    region,
-                    buffer_sizes,
-                    n_batches=n_batches,
-                    batch_size=batch_size,
-                )
-            )
-        else:
-            point_curves[loader] = tuple(
-                r.disk_accesses
-                for r in buffer_model_sweep(desc, point, buffer_sizes)
-            )
-            region_curves[loader] = tuple(
-                r.disk_accesses
-                for r in buffer_model_sweep(desc, region, buffer_sizes)
-            )
+        point_curves[loader] = tuple(
+            r.disk_accesses
+            for r in buffer_model_sweep(desc, point, buffer_sizes)
+        )
+        region_curves[loader] = tuple(
+            r.disk_accesses
+            for r in buffer_model_sweep(desc, region, buffer_sizes)
+        )
     return Fig6Result(
         buffer_sizes=tuple(buffer_sizes),
         point_curves=point_curves,

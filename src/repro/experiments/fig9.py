@@ -18,13 +18,7 @@ from dataclasses import dataclass
 
 from ..model import buffer_model, expected_node_accesses
 from ..queries import UniformPointWorkload, UniformRegionWorkload
-from ..simulation import simulate_sweep
-from .common import (
-    Table,
-    get_description,
-    sim_batches,
-    sim_queries_per_batch,
-)
+from .common import Table, get_description
 
 __all__ = ["Fig9Result", "run"]
 
@@ -82,26 +76,12 @@ def run(
     loaders=DEFAULT_LOADERS,
     buffers=DEFAULT_BUFFERS,
     region_side: float = REGION_SIDE,
-    simulated: bool = False,
-    n_batches: int | None = None,
-    batch_size: int | None = None,
 ) -> Fig9Result:
-    """Reproduce Fig. 9 (cost vs data size, with and without buffer).
-
-    ``simulated=True`` replaces the analytical disk-access curves with
-    measurements from one stack-distance sweep per (data size, loader)
-    — all buffer sizes share a single replayed query stream
-    (:func:`~repro.simulation.simulate_sweep`).
-    """
+    """Reproduce Fig. 9 (cost vs data size, with and without buffer)."""
     if region_side > 0.0:
         workload = UniformRegionWorkload((region_side, region_side))
     else:
         workload = UniformPointWorkload()
-    if simulated:
-        n_batches = n_batches if n_batches is not None else sim_batches()
-        batch_size = (
-            batch_size if batch_size is not None else sim_queries_per_batch()
-        )
     node_accesses: dict[str, list[float]] = {k: [] for k in loaders}
     disk: dict[tuple[str, int], list[float]] = {
         (loader, b): [] for loader in loaders for b in buffers
@@ -110,21 +90,10 @@ def run(
         for loader in loaders:
             desc = get_description("region", size, CAPACITY, loader)
             node_accesses[loader].append(expected_node_accesses(desc, workload))
-            if simulated:
-                results = simulate_sweep(
-                    desc,
-                    workload,
-                    buffers,
-                    n_batches=n_batches,
-                    batch_size=batch_size,
+            for b in buffers:
+                disk[(loader, b)].append(
+                    buffer_model(desc, workload, b).disk_accesses
                 )
-                for b, measured in zip(buffers, results):
-                    disk[(loader, b)].append(measured.disk_accesses.mean)
-            else:
-                for b in buffers:
-                    disk[(loader, b)].append(
-                        buffer_model(desc, workload, b).disk_accesses
-                    )
     return Fig9Result(
         sizes=tuple(sizes),
         node_accesses={k: tuple(v) for k, v in node_accesses.items()},

@@ -17,7 +17,7 @@ descriptions are shared with the experiments through the
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Any, Callable
 
 from ..geometry import RectArray
@@ -28,17 +28,10 @@ from ..queries import (
     UniformPointWorkload,
     UniformRegionWorkload,
 )
+from ..rtree import TreeDescription
 from ..serving import LoadGenerator, LoadReport, QueryService
 from ..simulation import SimulationResult, simulate, simulate_sweep
-from .common import (
-    get_dataset,
-    get_description,
-    probe_budget,
-    serve_shards,
-    serve_slo,
-    serve_telemetry,
-    serve_telemetry_interval_s,
-)
+from .common import get_dataset, get_description, serve_slo
 
 __all__ = [
     "METRICS_PROBES",
@@ -53,17 +46,6 @@ __all__ = [
 ]
 
 WorkloadFactory = Callable[[RectArray], object]
-
-
-def _resolve_budget(
-    n_batches: int | None, batch_size: int | None
-) -> tuple[int, int]:
-    """Fill unset probe-budget halves from the shared env knobs."""
-    default_batches, default_size = probe_budget()
-    return (
-        default_batches if n_batches is None else n_batches,
-        default_size if batch_size is None else batch_size,
-    )
 
 
 def _point(data: RectArray) -> object:
@@ -85,6 +67,22 @@ _WORKLOAD_FACTORIES: dict[str, WorkloadFactory] = {
 }
 
 
+def _probe_inputs(
+    spec: ProbeSpec | SweepProbeSpec | ServeProbeSpec,
+) -> tuple[RectArray, TreeDescription, object]:
+    """The data set, cached tree and workload a probe spec names."""
+    try:
+        factory = _WORKLOAD_FACTORIES[spec.workload]
+    except KeyError:
+        raise ValueError(
+            f"unknown probe workload {spec.workload!r}; "
+            f"choices: {sorted(_WORKLOAD_FACTORIES)}"
+        ) from None
+    data = get_dataset(spec.dataset, spec.n)
+    desc = get_description(spec.dataset, spec.n, spec.capacity, spec.loader)
+    return data, desc, factory(data)
+
+
 @dataclass(frozen=True)
 class ProbeSpec:
     """Configuration of one experiment's metrics probe."""
@@ -104,18 +102,6 @@ class ProbeSpec:
     """Buffer capacity in pages."""
     pinned_levels: int = 0
     """Top tree levels pinned in the buffer (§3.3)."""
-
-    def as_dict(self) -> dict[str, Any]:
-        """The spec as the document's ``simulation.probe`` mapping."""
-        return {
-            "dataset": self.dataset,
-            "n": self.n,
-            "capacity": self.capacity,
-            "loader": self.loader,
-            "workload": self.workload,
-            "buffer_size": self.buffer_size,
-            "pinned_levels": self.pinned_levels,
-        }
 
 
 METRICS_PROBES: dict[str, ProbeSpec] = {
@@ -155,19 +141,6 @@ class SweepProbeSpec:
     pinned_levels: int = 0
     warmup_queries: int = 4096
 
-    def as_dict(self) -> dict[str, Any]:
-        """The spec as the document's ``sweep.probe`` mapping."""
-        return {
-            "dataset": self.dataset,
-            "n": self.n,
-            "capacity": self.capacity,
-            "loader": self.loader,
-            "workload": self.workload,
-            "buffer_sizes": list(self.buffer_sizes),
-            "pinned_levels": self.pinned_levels,
-            "warmup_queries": self.warmup_queries,
-        }
-
 
 SWEEP_PROBES: dict[str, SweepProbeSpec] = {
     "table1": SweepProbeSpec(
@@ -192,8 +165,8 @@ def run_probe(
     spec: ProbeSpec,
     registry: MetricsRegistry,
     *,
-    n_batches: int | None = None,
-    batch_size: int | None = None,
+    n_batches: int = 5,
+    batch_size: int = 2_000,
     trace_last: int = 8,
 ) -> tuple[SimulationResult, dict[str, Any]]:
     """Run one instrumented probe simulation.
@@ -203,20 +176,9 @@ def run_probe(
     probe-configuration mapping destined for the document's
     ``simulation.probe`` field.  Deterministic: the simulator's
     default seed and the cached data sets pin every random stream.
-    The default budget is :func:`~repro.experiments.common.
-    probe_budget` (``REPRO_PROBE_BATCHES`` / ``REPRO_PROBE_QUERIES``).
+    The default budget, 5 × 2,000 queries, is smoke-sized.
     """
-    n_batches, batch_size = _resolve_budget(n_batches, batch_size)
-    try:
-        factory = _WORKLOAD_FACTORIES[spec.workload]
-    except KeyError:
-        raise ValueError(
-            f"unknown probe workload {spec.workload!r}; "
-            f"choices: {sorted(_WORKLOAD_FACTORIES)}"
-        ) from None
-    data = get_dataset(spec.dataset, spec.n)
-    desc = get_description(spec.dataset, spec.n, spec.capacity, spec.loader)
-    workload = factory(data)
+    _, desc, workload = _probe_inputs(spec)
     result = simulate(
         desc,
         workload,
@@ -227,9 +189,7 @@ def run_probe(
         registry=registry,
         trace_last=trace_last,
     )
-    probe = spec.as_dict()
-    probe["n_batches"] = n_batches
-    probe["batch_size"] = batch_size
+    probe = {**asdict(spec), "n_batches": n_batches, "batch_size": batch_size}
     return result, probe
 
 
@@ -237,8 +197,8 @@ def run_sweep_probe(
     spec: SweepProbeSpec,
     registry: MetricsRegistry | None = None,
     *,
-    n_batches: int | None = None,
-    batch_size: int | None = None,
+    n_batches: int = 5,
+    batch_size: int = 2_000,
 ) -> tuple[tuple[SimulationResult, ...], dict[str, Any]]:
     """Run one multi-capacity sweep probe in a single offline pass.
 
@@ -246,19 +206,9 @@ def run_sweep_probe(
     ``spec.buffer_sizes``) and the probe-configuration mapping for the
     document's ``sweep.probe`` field.  Deterministic: the sweep's
     default seed and the cached data sets pin every random stream.
-    The default budget is :func:`~repro.experiments.common.probe_budget`.
+    The default budget is :func:`run_probe`'s.
     """
-    n_batches, batch_size = _resolve_budget(n_batches, batch_size)
-    try:
-        factory = _WORKLOAD_FACTORIES[spec.workload]
-    except KeyError:
-        raise ValueError(
-            f"unknown probe workload {spec.workload!r}; "
-            f"choices: {sorted(_WORKLOAD_FACTORIES)}"
-        ) from None
-    data = get_dataset(spec.dataset, spec.n)
-    desc = get_description(spec.dataset, spec.n, spec.capacity, spec.loader)
-    workload = factory(data)
+    _, desc, workload = _probe_inputs(spec)
     results = simulate_sweep(
         desc,
         workload,
@@ -269,9 +219,7 @@ def run_sweep_probe(
         warmup_queries=spec.warmup_queries,
         registry=registry,
     )
-    probe = spec.as_dict()
-    probe["n_batches"] = n_batches
-    probe["batch_size"] = batch_size
+    probe = {**asdict(spec), "n_batches": n_batches, "batch_size": batch_size}
     return results, probe
 
 
@@ -307,24 +255,6 @@ class ServeProbeSpec:
     set's rectangle centres ("millions of users" skew) instead of the
     workload sampler."""
 
-    def as_dict(self) -> dict[str, Any]:
-        """The spec as the document's ``serving.probe`` mapping."""
-        return {
-            "dataset": self.dataset,
-            "n": self.n,
-            "capacity": self.capacity,
-            "loader": self.loader,
-            "workload": self.workload,
-            "buffer_size": self.buffer_size,
-            "pinned_levels": self.pinned_levels,
-            "rate_qps": self.rate_qps,
-            "n_queries": self.n_queries,
-            "max_batch": self.max_batch,
-            "max_wait_us": self.max_wait_us,
-            "arrivals": self.arrivals,
-            "zipf_keys": self.zipf_keys,
-        }
-
 
 SERVE_PROBES: dict[str, ServeProbeSpec] = {
     "fig6": ServeProbeSpec(
@@ -347,8 +277,7 @@ def run_serve_probe(
     spec: ServeProbeSpec,
     registry: MetricsRegistry | None = None,
     *,
-    shards: int | None = None,
-    workers: int = 1,
+    shards: int = 1,
     telemetry_out: str | None = None,
 ) -> tuple[LoadReport, dict[str, Any], dict[str, Any] | None]:
     """Run one open-loop serving probe.
@@ -359,29 +288,17 @@ def run_serve_probe(
     and returns the :class:`~repro.serving.LoadReport`, the
     probe-configuration mapping for the document's ``serving.probe``
     field, and the telemetry pointer block for the section's
-    ``telemetry`` field (None when telemetry is off).  ``shards=None``
-    honours ``REPRO_SERVE_SHARDS`` (default 1 — the paper-exact single
-    buffer); ``telemetry_out=None`` honours ``REPRO_SERVE_TELEMETRY``.
+    ``telemetry`` field (None when telemetry is off).  ``shards=1`` is
+    the paper-exact single buffer.
 
-    With telemetry on, a :class:`~repro.obs.TelemetrySink` samples the
-    service every ``REPRO_SERVE_TELEMETRY_INTERVAL_MS`` during the
-    run; the stream header carries the probe configuration and the
+    With ``telemetry_out`` set, a :class:`~repro.obs.TelemetrySink`
+    samples the service every 100 ms during the run and streams to
+    that path; the stream header carries the probe configuration and the
     Eq. 5/6 model-predicted hit ratio for the same tree/workload/
     buffer, so every tick is directly comparable to the paper's curve
     (``tools/serve_report.py`` renders exactly that comparison).
     """
-    try:
-        factory = _WORKLOAD_FACTORIES[spec.workload]
-    except KeyError:
-        raise ValueError(
-            f"unknown probe workload {spec.workload!r}; "
-            f"choices: {sorted(_WORKLOAD_FACTORIES)}"
-        ) from None
-    if shards is None:
-        shards = serve_shards()
-    data = get_dataset(spec.dataset, spec.n)
-    desc = get_description(spec.dataset, spec.n, spec.capacity, spec.loader)
-    workload = factory(data)
+    data, desc, workload = _probe_inputs(spec)
     service = QueryService(
         desc,
         workload,
@@ -405,8 +322,6 @@ def run_serve_probe(
         arrivals=spec.arrivals,
         key_points=key_points,
     )
-    if telemetry_out is None:
-        telemetry_out = serve_telemetry()
     sink = None
     telemetry_ptr = None
     if telemetry_out is not None:
@@ -416,23 +331,14 @@ def run_serve_probe(
         prediction = buffer_model(
             desc, workload, spec.buffer_size, spec.pinned_levels
         )
-        p99_target_us, hit_floor, budget, fast, slow = serve_slo()
+        p99_target_us, hit_floor = serve_slo()
         sink = TelemetrySink(
             service,
-            interval_s=serve_telemetry_interval_s(),
             slo=SLOMonitor(
-                p99_target_us=p99_target_us,
-                hit_ratio_floor=hit_floor,
-                budget=budget,
-                fast_window=fast,
-                slow_window=slow,
+                p99_target_us=p99_target_us, hit_ratio_floor=hit_floor
             ),
             path=telemetry_out,
-            config={
-                **spec.as_dict(),
-                "shards": shards,
-                "workers": workers,
-            },
+            config={**asdict(spec), "shards": shards},
             model={
                 "hit_ratio": prediction.hit_ratio,
                 "disk_accesses": prediction.disk_accesses,
@@ -441,7 +347,7 @@ def run_serve_probe(
             },
         )
         service.telemetry = sink
-    service.start(workers=workers)
+    service.start()
     try:
         if sink is not None:
             sink.start()
@@ -470,7 +376,4 @@ def run_serve_probe(
             registry.gauge("serving.telemetry_ticks").set(
                 telemetry_ptr["ticks"]
             )
-    probe = spec.as_dict()
-    probe["shards"] = shards
-    probe["workers"] = workers
-    return report, probe, telemetry_ptr
+    return report, {**asdict(spec), "shards": shards}, telemetry_ptr

@@ -4,6 +4,8 @@ Runs any of the paper's tables/figures and prints the regenerated
 rows/series.  ``repro-experiments all`` runs everything (Table 1 is
 the slow one — it simulates; its budget is controlled by the
 ``REPRO_SIM_BATCHES`` / ``REPRO_SIM_QUERIES`` environment variables).
+Those and ``REPRO_SERVE_SHARDS`` are validated before the first
+experiment starts; a malformed value is a usage error (exit 2).
 
 ``--metrics-out PATH`` additionally writes one ``repro-metrics`` JSON
 document per experiment — its result data, wall-clock timing, and an
@@ -44,6 +46,7 @@ from ..obs import (
     write_report,
 )
 from . import fig5, fig6, fig7, fig8, fig9, fig10, fig11, table1, table2
+from .common import RunConfig, run_config
 from .probes import (
     METRICS_PROBES,
     SERVE_PROBES,
@@ -128,8 +131,8 @@ def main(argv: list[str] | None = None) -> int:
         action="store_true",
         help=(
             "additionally run each experiment's open-loop serving "
-            "probe (Poisson load through the query service; shard "
-            "count from REPRO_SERVE_SHARDS) and export latency "
+            "probe (Poisson load through the query service; buffer "
+            "shards from REPRO_SERVE_SHARDS, default 1) and export latency "
             "percentiles + throughput in the document's 'serving' "
             "section (requires --metrics-out)"
         ),
@@ -144,8 +147,7 @@ def main(argv: list[str] | None = None) -> int:
             "per-shard hit-ratio deltas, queue depth, windowed "
             "percentiles, SLO burn) to PATH; with several experiments "
             "the experiment name is inserted before the suffix; "
-            "defaults to REPRO_SERVE_TELEMETRY; render with "
-            "tools/serve_report.py"
+            "render with tools/serve_report.py"
         ),
     )
     parser.add_argument(
@@ -169,6 +171,10 @@ def main(argv: list[str] | None = None) -> int:
     unknown = [n for n in names if n not in EXPERIMENTS]
     if unknown:
         parser.error(f"unknown experiment(s): {', '.join(unknown)}")
+    try:
+        config = run_config()
+    except ValueError as exc:
+        parser.error(str(exc))
 
     tracer: Tracer | None = None
     profiler: Profiler | None = None
@@ -188,7 +194,7 @@ def main(argv: list[str] | None = None) -> int:
             start = time.perf_counter()
             try:
                 with span("experiment", experiment=name):
-                    result = EXPERIMENTS[name]()
+                    result = _run(name, config)
             except Exception as exc:
                 elapsed = time.perf_counter() - start
                 print(
@@ -210,6 +216,7 @@ def main(argv: list[str] | None = None) -> int:
                         elapsed,
                         args.trace_out,
                         serve=args.serve,
+                        shards=config.serve_shards,
                         telemetry_out=_telemetry_path(
                             args.telemetry_out, name, len(names)
                         ),
@@ -252,6 +259,15 @@ def main(argv: list[str] | None = None) -> int:
     return 0
 
 
+def _run(name: str, config: RunConfig) -> object:
+    """One experiment; Table 1, the one that simulates, at the run's budget."""
+    if name == "table1":
+        return table1.run(
+            n_batches=config.sim_batches, batch_size=config.sim_queries
+        )
+    return EXPERIMENTS[name]()
+
+
 def _print_profile(report: dict[str, object] | None) -> None:
     """Render the top-allocation-sites table on stdout."""
     if not report:
@@ -286,6 +302,7 @@ def _collect_metrics(
     wall_seconds: float,
     trace_out: str | None = None,
     serve: bool = False,
+    shards: int = 1,
     telemetry_out: str | None = None,
 ) -> dict[str, object]:
     """Build one metrics document, running the experiment's probe."""
@@ -312,7 +329,10 @@ def _collect_metrics(
         with span("experiment.serve_probe", experiment=name):
             with registry.timer("serve_probe.wall"):
                 load_report, serve_probe, telemetry_ptr = run_serve_probe(
-                    serve_spec, registry, telemetry_out=telemetry_out
+                    serve_spec,
+                    registry,
+                    shards=shards,
+                    telemetry_out=telemetry_out,
                 )
         serving = serving_section(
             load_report, serve_probe, telemetry=telemetry_ptr

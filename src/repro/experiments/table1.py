@@ -7,8 +7,9 @@ setup from synthetic region data: 165,000 rectangles at node capacity
 100 pack into exactly 1650 + 17 + 1 = 1,668 nodes.
 
 The paper's batches of 10⁶ queries are scaled down by default (see
-``repro.experiments.common``); the confidence intervals are reported so
-the agreement can be judged against the measurement noise.
+:class:`~repro.experiments.common.RunConfig`); the confidence intervals
+are reported so the agreement can be judged against the measurement
+noise.  Table 1 is the one artefact that simulates.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from dataclasses import dataclass
 from ..model import buffer_model
 from ..queries import UniformPointWorkload
 from ..simulation import simulate_sweep
-from .common import Table, get_description, sim_batches, sim_queries_per_batch
+from .common import RunConfig, Table, get_description
 
 __all__ = ["Table1Row", "Table1Result", "run"]
 
@@ -83,12 +84,10 @@ class Table1Result:
 def run(
     buffer_sizes=DEFAULT_BUFFER_SIZES,
     loaders=DEFAULT_LOADERS,
-    n_batches: int | None = None,
-    batch_size: int | None = None,
+    n_batches: int = RunConfig.sim_batches,
+    batch_size: int = RunConfig.sim_queries,
 ) -> Table1Result:
     """Reproduce Table 1 (model vs simulation validation)."""
-    n_batches = n_batches if n_batches is not None else sim_batches()
-    batch_size = batch_size if batch_size is not None else sim_queries_per_batch()
     workload = UniformPointWorkload()
 
     rows: list[Table1Row] = []

@@ -31,9 +31,20 @@ import threading
 
 import numpy as np
 
-__all__ = ["LatencyRecorder"]
+__all__ = ["LatencyRecorder", "nearest_rank_us"]
 
 _NS_PER_US = 1_000.0
+
+
+def nearest_rank_us(ordered_ns: np.ndarray, q: float) -> float:
+    """Nearest-rank percentile ``q`` of sorted nanosecond samples, in us.
+
+    Element ``ceil(q / 100 · n) − 1`` of the ``n`` sorted samples: the
+    one percentile convention of every latency summary and telemetry
+    tick.
+    """
+    rank = math.ceil(q / 100.0 * ordered_ns.size)
+    return float(ordered_ns[rank - 1]) / _NS_PER_US
 
 
 class LatencyRecorder:
@@ -121,8 +132,7 @@ class LatencyRecorder:
         ordered = np.sort(self.samples_ns())
         if ordered.size == 0:
             raise ValueError("no latency samples recorded")
-        rank = math.ceil(q / 100.0 * ordered.size)
-        return float(ordered[rank - 1]) / _NS_PER_US
+        return nearest_rank_us(ordered, q)
 
     def summary_us(self) -> dict[str, float]:
         """The export-facing summary: count, mean, max, p50/p95/p99.
@@ -134,17 +144,13 @@ class LatencyRecorder:
         ordered = np.sort(self.samples_ns())
         if ordered.size == 0:
             raise ValueError("no latency samples recorded")
-
-        def rank(q: float) -> float:
-            return float(ordered[math.ceil(q / 100.0 * ordered.size) - 1])
-
         return {
             "count": int(ordered.size),
             "mean": float(ordered.mean()) / _NS_PER_US,
             "max": float(ordered[-1]) / _NS_PER_US,
-            "p50": rank(50.0) / _NS_PER_US,
-            "p95": rank(95.0) / _NS_PER_US,
-            "p99": rank(99.0) / _NS_PER_US,
+            "p50": nearest_rank_us(ordered, 50.0),
+            "p95": nearest_rank_us(ordered, 95.0),
+            "p99": nearest_rank_us(ordered, 99.0),
         }
 
     def histogram_us(self, n_buckets: int = 32) -> dict[str, list[float]]:

@@ -63,7 +63,6 @@ service thread never contends with the ticker for the window state.
 from __future__ import annotations
 
 import json
-import math
 import threading
 import time
 from collections.abc import Callable, Mapping
@@ -71,7 +70,7 @@ from typing import IO, Any
 
 import numpy as np
 
-from .latency import LatencyRecorder
+from .latency import LatencyRecorder, nearest_rank_us
 
 __all__ = [
     "TELEMETRY_SCHEMA",
@@ -569,21 +568,16 @@ class TelemetrySink:
 def _latency_window_us(samples: np.ndarray) -> dict[str, float] | None:
     """Nearest-rank percentiles of one window's samples (ns → us).
 
-    Same ceiling convention as :meth:`LatencyRecorder.summary_us`;
     None when the window carried no samples (an idle tick).
     """
     if samples.size == 0:
         return None
     ordered = np.sort(samples)
-
-    def rank(q: float) -> float:
-        return float(ordered[math.ceil(q / 100.0 * ordered.size) - 1])
-
     return {
         "count": int(ordered.size),
-        "p50": rank(50.0) / _NS_PER_US,
-        "p95": rank(95.0) / _NS_PER_US,
-        "p99": rank(99.0) / _NS_PER_US,
+        "p50": nearest_rank_us(ordered, 50.0),
+        "p95": nearest_rank_us(ordered, 95.0),
+        "p99": nearest_rank_us(ordered, 99.0),
         "max": float(ordered[-1]) / _NS_PER_US,
     }
 

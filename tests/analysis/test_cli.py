@@ -10,7 +10,12 @@ import sys
 
 import pytest
 
-from repro.analysis.cli import expand_select, format_github, main
+from repro.analysis.cli import (
+    build_parser,
+    expand_select,
+    format_github,
+    main,
+)
 from repro.analysis.core import Violation
 
 REPORT_LINE = re.compile(r"^.+\.py:\d+:\d+ RL\d{3} .+$")
@@ -115,44 +120,10 @@ class TestMain:
         assert out.startswith("::error file=")
         assert "title=RL006" in out
 
-    def test_write_then_apply_baseline(self, tmp_path, capsys):
-        path = write_violating_module(tmp_path)
-        baseline = tmp_path / "baseline.json"
-        # accept the current findings...
-        assert main(
-            [str(path), "--write-baseline", str(baseline)]
-        ) == 0
-        capsys.readouterr()
-        # ...and the same tree now gates clean against them
-        assert main([str(path), "--baseline", str(baseline)]) == 0
-        captured = capsys.readouterr()
-        assert "baselined" in captured.err
-
-    def test_new_finding_escapes_the_baseline(self, tmp_path, capsys):
-        path = write_violating_module(tmp_path)
-        baseline = tmp_path / "baseline.json"
-        assert main(
-            [str(path), "--write-baseline", str(baseline)]
-        ) == 0
-        capsys.readouterr()
-        extra = tmp_path / "extra.py"
-        extra.write_text(
-            '"""Module citing Eq. 88, also undefined."""\n',
-            encoding="utf-8",
-        )
-        assert main([str(tmp_path), "--baseline", str(baseline)]) == 1
-        out = capsys.readouterr().out
-        assert "Eq. 88" in out
-        assert "Eq. 77" not in out
-
-    def test_missing_baseline_is_usage_error(self, tmp_path):
-        clean = tmp_path / "clean.py"
-        clean.write_text("x = 1\n", encoding="utf-8")
-        with pytest.raises(SystemExit) as exc:
-            main(
-                [str(clean), "--baseline", str(tmp_path / "nope.json")]
-            )
-        assert exc.value.code == 2
+    def test_parser_defaults(self):
+        args = build_parser().parse_args([])
+        assert args.paths == [] and args.format == "text"
+        assert args.select is None and not args.list_rules
 
     def test_missing_path_is_usage_error(self, tmp_path):
         with pytest.raises(SystemExit) as exc:
@@ -183,22 +154,14 @@ class TestModuleInvocation:
             timeout=120,
         )
 
-    def test_src_tree_is_clean_modulo_baseline(self, repo_root):
-        result = self._run(
-            repo_root, "src", "--baseline", "analysis-baseline.json"
-        )
+    def test_src_tree_is_clean(self, repo_root):
+        result = self._run(repo_root, "src")
         assert result.returncode == 0, result.stdout + result.stderr
 
     def test_full_rule_range_select(self, repo_root):
-        result = self._run(
-            repo_root,
-            "src",
-            "--select",
-            "RL001-RL012",
-            "--baseline",
-            "analysis-baseline.json",
-        )
+        result = self._run(repo_root, "src", "--select", "RL001-RL012")
         assert result.returncode == 0, result.stdout + result.stderr
+        assert result.stdout == ""
 
     def test_seeded_violation_fails_with_report(self, repo_root, tmp_path):
         path = write_violating_module(tmp_path)

@@ -16,6 +16,7 @@ from repro.analysis.graph import (
     find_cycles,
     module_name_for,
 )
+from repro.analysis.graph.symbols import Symbol
 
 
 class TestModules:
@@ -86,10 +87,8 @@ class TestSymbols:
         _, project = build_fixture_project("proj_star")
         table = project.symbols["proj_star.middle"]
         symbol = table.resolve("helper")
-        assert symbol is not None
-        assert symbol.kind == "def"
-        assert symbol.origin == "proj_star.base"
-        assert symbol.attr == "helper"
+        assert symbol == Symbol("def", "proj_star.base", "helper")
+        assert symbol.qualified == "proj_star.base.helper"
 
     def test_star_import_brings_all_exports(self):
         _, project = build_fixture_project("proj_star")

@@ -13,6 +13,9 @@ environment-requested patches back before returning.
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
 import threading
 
 import pytest
@@ -23,12 +26,13 @@ from repro.analysis import sanitize
 from repro.analysis.sanitize import (
     SanitizerError,
     adopt,
-    enabled_by_env,
     guard,
 )
 from repro.buffer.base import BufferStats
 from repro.buffer.lru import LRUBuffer
 from repro.obs.spans import Tracer
+
+from .conftest import REPO_ROOT
 
 _ENV_INSTALLED = sanitize.is_installed()
 needs_plain_world = pytest.mark.skipif(
@@ -384,14 +388,27 @@ class TestInstallLifecycle:
         sanitize.uninstall()
         assert not sanitize.is_installed()
 
-    def test_enabled_by_env(self, monkeypatch):
-        monkeypatch.delenv(sanitize.ENV_FLAG, raising=False)
-        assert not enabled_by_env()
-        for value in ("1", "true", "on"):
-            monkeypatch.setenv(sanitize.ENV_FLAG, value)
-            assert enabled_by_env()
-        monkeypatch.setenv(sanitize.ENV_FLAG, "0")
-        assert not enabled_by_env()
+    def test_enabled_by_env(self):
+        """``import repro`` installs the sanitizer exactly when asked."""
+        code = (
+            "import repro\n"
+            "from repro.analysis import sanitize\n"
+            "print(sanitize.is_installed())"
+        )
+        path = os.pathsep.join(
+            [str(REPO_ROOT / "src"), os.environ.get("PYTHONPATH", "")]
+        )
+        for value, installed in (("on", True), ("1", True), ("0", False)):
+            env = {**os.environ, "REPRO_SANITIZE": value, "PYTHONPATH": path}
+            done = subprocess.run(
+                [sys.executable, "-c", code],
+                env=env,
+                capture_output=True,
+                text=True,
+                timeout=120,
+                check=True,
+            )
+            assert done.stdout.strip() == str(installed), value
 
     def test_existing_instances_are_covered(self):
         # Patching happens on the class, so objects created *before*

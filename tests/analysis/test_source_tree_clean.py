@@ -10,34 +10,13 @@ the exact ``file:line:col RLxxx message`` locations.
 from __future__ import annotations
 
 from repro.analysis import load_config, run_analysis
-from repro.analysis.baseline import apply_baseline, load_baseline
 
 
 def test_src_tree_has_no_new_reprolint_violations(repo_root):
-    """All twelve rules, modulo the committed accepted baseline."""
+    """All twelve rules report nothing: there is no accepted debt."""
     config = load_config(repo_root / "pyproject.toml")
     paths = [repo_root / p for p in config.paths]
     violations, n_files = run_analysis(paths, config, root=repo_root)
-    baseline = load_baseline(repo_root / "analysis-baseline.json")
-    new, _matched = apply_baseline(violations, baseline)
-    report = "\n".join(v.format() for v in new)
-    assert not new, f"new reprolint violations in the source tree:\n{report}"
+    report = "\n".join(v.format() for v in violations)
+    assert not violations, f"reprolint violations in the source tree:\n{report}"
     assert n_files >= 55, "the analyzer should be scanning the whole src tree"
-
-
-def test_baseline_has_no_stale_entries(repo_root):
-    """Every accepted entry still matches a real finding.
-
-    A fixed finding must leave the baseline too — otherwise the file
-    silently grows a free pass for reintroducing the same bug.
-    """
-    config = load_config(repo_root / "pyproject.toml")
-    paths = [repo_root / p for p in config.paths]
-    violations, _ = run_analysis(paths, config, root=repo_root)
-    baseline = load_baseline(repo_root / "analysis-baseline.json")
-    _, matched = apply_baseline(violations, baseline)
-    total = sum(baseline.values())
-    assert matched == total, (
-        f"baseline accepts {total} finding(s) but only {matched} still "
-        "exist; regenerate with --write-baseline"
-    )

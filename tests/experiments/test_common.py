@@ -3,14 +3,14 @@
 import pytest
 
 from repro.experiments.common import (
+    RunConfig,
     Table,
     get_dataset,
     get_description,
-    probe_budget,
-    serve_shards,
-    sim_batches,
-    sim_queries_per_batch,
+    run_config,
 )
+
+SETTINGS = ("REPRO_SIM_BATCHES", "REPRO_SIM_QUERIES", "REPRO_SERVE_SHARDS")
 
 
 class TestDatasets:
@@ -42,62 +42,25 @@ class TestDatasets:
 
 class TestEnvKnobs:
     def test_defaults(self, monkeypatch):
-        monkeypatch.delenv("REPRO_SIM_BATCHES", raising=False)
-        monkeypatch.delenv("REPRO_SIM_QUERIES", raising=False)
-        assert sim_batches() == 20
-        assert sim_queries_per_batch() == 20000
+        for variable in SETTINGS:
+            monkeypatch.delenv(variable, raising=False)
+        assert run_config() == RunConfig(
+            sim_batches=20, sim_queries=20_000, serve_shards=1
+        )
 
     def test_overrides(self, monkeypatch):
         monkeypatch.setenv("REPRO_SIM_BATCHES", "5")
         monkeypatch.setenv("REPRO_SIM_QUERIES", "123")
-        assert sim_batches() == 5
-        assert sim_queries_per_batch() == 123
-
-    def test_probe_budget_defaults(self, monkeypatch):
-        monkeypatch.delenv("REPRO_PROBE_BATCHES", raising=False)
-        monkeypatch.delenv("REPRO_PROBE_QUERIES", raising=False)
-        assert probe_budget() == (5, 2000)
-
-    def test_probe_budget_overrides(self, monkeypatch):
-        monkeypatch.setenv("REPRO_PROBE_BATCHES", "3")
-        monkeypatch.setenv("REPRO_PROBE_QUERIES", "77")
-        assert probe_budget() == (3, 77)
-
-    def test_probe_budget_validated(self, monkeypatch):
-        monkeypatch.setenv("REPRO_PROBE_BATCHES", "1")
-        with pytest.raises(ValueError, match="BATCHES"):
-            probe_budget()
-        monkeypatch.setenv("REPRO_PROBE_BATCHES", "2")
-        monkeypatch.setenv("REPRO_PROBE_QUERIES", "0")
-        with pytest.raises(ValueError, match="QUERIES"):
-            probe_budget()
+        monkeypatch.delenv("REPRO_SERVE_SHARDS", raising=False)
+        config = run_config(defaults=RunConfig(sim_batches=10, serve_shards=3))
+        assert config == RunConfig(sim_batches=5, sim_queries=123, serve_shards=3)
 
     def test_serve_shards(self, monkeypatch):
-        monkeypatch.delenv("REPRO_SERVE_SHARDS", raising=False)
-        assert serve_shards() == 1
         monkeypatch.setenv("REPRO_SERVE_SHARDS", "8")
-        assert serve_shards() == 8
+        assert run_config().serve_shards == 8
         monkeypatch.setenv("REPRO_SERVE_SHARDS", "0")
-        with pytest.raises(ValueError, match="SHARDS"):
-            serve_shards()
-
-    def test_serve_slo_windows(self, monkeypatch):
-        from repro.experiments.common import serve_slo
-
-        for key in ("REPRO_SERVE_SLO_FAST_TICKS",
-                    "REPRO_SERVE_SLO_SLOW_TICKS"):
-            monkeypatch.delenv(key, raising=False)
-        assert serve_slo()[3:] == (5, 60)
-        monkeypatch.setenv("REPRO_SERVE_SLO_FAST_TICKS", "3")
-        monkeypatch.setenv("REPRO_SERVE_SLO_SLOW_TICKS", "12")
-        assert serve_slo()[3:] == (3, 12)
-        monkeypatch.setenv("REPRO_SERVE_SLO_SLOW_TICKS", "2")
-        with pytest.raises(ValueError, match="SLOW"):
-            serve_slo()
-        monkeypatch.setenv("REPRO_SERVE_SLO_SLOW_TICKS", "12")
-        monkeypatch.setenv("REPRO_SERVE_SLO_FAST_TICKS", "0")
-        with pytest.raises(ValueError, match="FAST"):
-            serve_slo()
+        with pytest.raises(ValueError, match="REPRO_SERVE_SHARDS='0'"):
+            run_config()
 
 
 class TestTable:

@@ -14,6 +14,7 @@ from repro.experiments.runner import EXPERIMENTS, main
 class TestTable2:
     def test_four_level_trees(self):
         result = table2.run()
+        assert isinstance(result, table2.Table2Result)
         for size, counts in result.counts.items():
             assert len(counts) == 4, f"{size} points should give 4 levels"
             assert counts[0] == 1
@@ -32,6 +33,7 @@ class TestTable2:
 class TestFig5:
     def test_skew_statistics(self):
         result = fig5.run()
+        assert isinstance(result, fig5.Fig5Result)
         assert result.n_points == 52_510
         # Most of the data crowds a small window around the wing.
         assert result.center_fraction > 5 * result.center_area_fraction
@@ -52,6 +54,7 @@ class TestFig6:
         return fig6.run(loaders=("nx", "hs"), buffer_sizes=(10, 100, 300, 500))
 
     def test_hs_beats_nx_everywhere(self, result):
+        assert isinstance(result, fig6.Fig6Result)
         for curves in (result.point_curves, result.region_curves):
             for nx, hs in zip(curves["nx"], curves["hs"]):
                 assert hs <= nx + 1e-9
@@ -125,6 +128,7 @@ class TestFig9:
         """25k -> 300k rectangles: the bufferless HS cost grows by far
         less than the buffered cost does (the paper's trap for query
         optimisers)."""
+        assert isinstance(result, fig9.Fig9Result)
         hs_flat_growth = result.growth(result.node_accesses["hs"])
         hs_buffered_growth = result.growth(result.disk_accesses[("hs", 300)])
         assert hs_flat_growth < 2.0
@@ -147,6 +151,7 @@ class TestFig10:
     def test_pinning_up_to_two_levels_is_noise(self, result):
         """Pinning 0, 1 or 2 levels performs identically (LRU keeps
         those pages resident anyway)."""
+        assert isinstance(result, fig10.Fig10Result)
         for b in result.buffers:
             for i, _ in enumerate(result.sizes):
                 base = result.disk_accesses[(b, 0)][i]
@@ -184,6 +189,7 @@ class TestFig11:
     def test_pin3_infeasible_below_its_page_count(self, result):
         """Long Beach at node size 25 has 91 pages in the top three
         levels; the paper: below ~100 pages it cannot be pinned."""
+        assert isinstance(result, fig11.Fig11Result)
         i50 = result.buffer_sizes.index(50)
         assert result.left_curves[3][i50] is None
         i100 = result.buffer_sizes.index(100)

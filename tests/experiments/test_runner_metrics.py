@@ -10,8 +10,10 @@ from repro.experiments.probes import (
     SERVE_PROBES,
     ProbeSpec,
     ServeProbeSpec,
+    SweepProbeSpec,
     run_probe,
     run_serve_probe,
+    run_sweep_probe,
 )
 from repro.experiments.runner import EXPERIMENTS, METAS, main
 from repro.model import buffer_model
@@ -66,6 +68,26 @@ class TestProbes:
         with pytest.raises(ValueError, match="unknown probe workload"):
             run_probe(bad, MetricsRegistry())
 
+    def test_sweep_probe_mapping(self):
+        spec = SweepProbeSpec(
+            "point", 400, 10, "hs", "uniform-point", (5, 10),
+            warmup_queries=64,
+        )
+        results, probe = run_sweep_probe(spec, n_batches=2, batch_size=200)
+        assert len(results) == 2
+        assert probe == {
+            "dataset": "point",
+            "n": 400,
+            "capacity": 10,
+            "loader": "hs",
+            "workload": "uniform-point",
+            "buffer_sizes": (5, 10),
+            "pinned_levels": 0,
+            "warmup_queries": 64,
+            "n_batches": 2,
+            "batch_size": 200,
+        }
+
 
 class TestMetricsOut:
     def test_writes_schema_valid_report(self, tmp_path, stub_experiment, capsys):
@@ -79,6 +101,8 @@ class TestMetricsOut:
         assert doc["experiment"]["source"] == METAS["fig5"]["source"]
         assert doc["result"] == {"value": 1.5}
         assert doc["wall_seconds"] >= 0.0
+        probe = doc["simulation"]["probe"]
+        assert (probe["n_batches"], probe["batch_size"]) == (5, 2000)
 
     def test_per_level_sums_match_aggregate(self, tmp_path, stub_experiment):
         path = tmp_path / "out.json"
@@ -125,11 +149,40 @@ class TestServeMode:
         assert metrics["counters"]["serving.queries"] == 150
         assert metrics["gauges"]["serving.p99_us"] > 0
 
-    def test_serve_honours_shard_env(self, monkeypatch):
+    def test_serve_honours_shard_env(
+        self, tmp_path, stub_experiment, monkeypatch
+    ):
         monkeypatch.setenv("REPRO_SERVE_SHARDS", "2")
-        report, probe, _ = run_serve_probe(TINY_SERVE_PROBE)
-        assert report.shards == 2
-        assert probe["shards"] == 2
+        path = tmp_path / "out.json"
+        assert main(["--serve", "--metrics-out", str(path), "fig5"]) == 0
+        (doc,) = load_report(path)["documents"]
+        assert doc["serving"]["buffer"]["shards"] == 2
+        assert doc["serving"]["probe"]["shards"] == 2
+
+    @pytest.mark.parametrize(
+        "variable, value",
+        [
+            ("REPRO_SIM_BATCHES", "abc"),
+            ("REPRO_SIM_BATCHES", "1"),
+            ("REPRO_SIM_BATCHES", "2.5"),
+            ("REPRO_SIM_QUERIES", "0"),
+            ("REPRO_SIM_QUERIES", ""),
+            ("REPRO_SERVE_SHARDS", "two"),
+            ("REPRO_SERVE_SHARDS", "0"),
+        ],
+    )
+    def test_bad_setting_exits_before_any_experiment(
+        self, tmp_path, monkeypatch, capsys, variable, value
+    ):
+        monkeypatch.setenv(variable, value)
+        path = tmp_path / "out.json"
+        with pytest.raises(SystemExit) as exc:
+            main(["--serve", "--metrics-out", str(path), "table2"])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"{variable}={value!r}" in captured.err
+        assert not path.exists()
 
     def test_serve_probe_streams_telemetry(self, tmp_path):
         stream = tmp_path / "telemetry.jsonl"
@@ -148,12 +201,6 @@ class TestServeMode:
         )
         final = ticks[-1]["cumulative"]["aggregate"]
         assert final == report.buffer_aggregate
-
-    def test_serve_probe_honours_telemetry_env(self, tmp_path, monkeypatch):
-        stream = tmp_path / "env-telemetry.jsonl"
-        monkeypatch.setenv("REPRO_SERVE_TELEMETRY", str(stream))
-        _, _, telemetry = run_serve_probe(TINY_SERVE_PROBE)
-        assert telemetry is not None and stream.exists()
 
     def test_serve_requires_metrics_out(self, stub_experiment, capsys):
         with pytest.raises(SystemExit):

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from repro.obs import LatencyRecorder
+from repro.obs.telemetry import _latency_window_us
 
 
 class TestRecording:
@@ -121,6 +122,16 @@ class TestPercentiles:
         assert recorder.percentile_us(95) == 95.0
         assert recorder.percentile_us(99) == 99.0
         assert recorder.percentile_us(100) == 100.0
+
+    def test_summary_and_telemetry_window_agree(self):
+        samples = np.random.default_rng(7).integers(1, 10**7, 997)
+        recorder = LatencyRecorder()
+        recorder.record_many_ns(samples)
+        summary = recorder.summary_us()
+        window = _latency_window_us(samples)
+        for key in ("count", "p50", "p95", "p99", "max"):
+            assert window[key] == summary[key]
+        assert summary["p99"] == recorder.percentile_us(99)
 
     def test_single_sample(self):
         recorder = LatencyRecorder()
