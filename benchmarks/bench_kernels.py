@@ -171,7 +171,7 @@ def _run_sim_loop(stabber, points: np.ndarray, buffer_size: int) -> int:
     misses = 0
     for start in range(0, points.shape[0], _QUERY_CHUNK):
         sparse = stabber.stab(points[start : start + _QUERY_CHUNK])
-        misses += len(buffer.request_batch(sparse.ids.tolist()))
+        misses += len(buffer.request_batch(sparse.ids))
     return misses
 
 

@@ -15,8 +15,10 @@ Mechanics:
 
 * **Thread affinity** (pool + stats): each instance is stamped with
   its creating thread; any attribute write (stats) or
-  ``request_batch()`` (pool — every policy class's own loop, which
-  ``request()`` also goes through) from a different thread raises.
+  ``_request_unpinned()`` (pool — the one write path, which runs the
+  policy's replacement loop and which ``request()``,
+  ``request_batch()`` and the sharded pool all go through) from a
+  different thread raises.
   Objects are not locked to a thread forever — :func:`adopt`
   transfers ownership explicitly, which is itself a synchronization
   statement in the code.
@@ -38,7 +40,7 @@ Mechanics:
   ``ShardedBufferPool.__init__`` is patched to register each shard's
   pool and stats with the shard's lock, so reaching around the
   sharded pool into ``_pools[s]`` without holding ``_locks[s]``
-  raises at the exact ``request_batch()``/counter write.
+  raises at the exact ``_request_unpinned()``/counter write.
 * Ownership lives in a module-level table keyed by ``id(obj)``
   (``BufferStats`` has ``__slots__`` and accepts no new attributes).
   The patched ``__init__`` re-stamps on construction, so id reuse
@@ -233,24 +235,21 @@ def _patch_stats(cls: type) -> None:
     cls.__setattr__ = __setattr__  # type: ignore[assignment]
 
 
-def _patch_pool(cls: type, policies: Any) -> None:
-    """``request_batch()`` — the mutating entry point each policy
-    class defines for itself, and the one ``request()`` calls — checks
-    affinity once per call (policy structures mutate inside it)."""
+def _patch_pool(cls: type) -> None:
+    """``_request_unpinned()`` — the one write path of a pool, which
+    ``request_batch()`` and ``ShardedBufferPool.request_batch`` both
+    go through, and which runs the policy's replacement loop — checks
+    affinity once per call."""
     _wrap_init(cls)
-    for policy in policies:
-        original: Callable = policy.request_batch
-        _save(policy, "request_batch")
-        policy.request_batch = _checked_request_batch(original)
+    original: Callable = cls._request_unpinned
+    _save(cls, "_request_unpinned")
 
+    def _request_unpinned(self: object, pages: Any, pinned: int) -> Any:
+        _check_owner(self, "_request_unpinned()")
+        return original(self, pages, pinned)
 
-def _checked_request_batch(original: Callable) -> Callable:
-    def request_batch(self: object, pages: Any) -> Any:
-        _check_owner(self, "request_batch()")
-        return original(self, pages)
-
-    request_batch.__wrapped__ = original  # type: ignore[attr-defined]
-    return request_batch
+    _request_unpinned.__wrapped__ = original  # type: ignore[attr-defined]
+    cls._request_unpinned = _request_unpinned
 
 
 def _patch_tracer(cls: type) -> None:
@@ -321,13 +320,12 @@ def install() -> None:
     if _installed:
         return
     from repro.buffer.base import BufferPool, BufferStats
-    from repro.buffer.policies import POLICIES
     from repro.buffer.sharded import ShardedBufferPool
     from repro.obs.spans import Tracer
     from repro.obs.telemetry import TelemetrySink
 
     _patch_stats(BufferStats)
-    _patch_pool(BufferPool, POLICIES.values())
+    _patch_pool(BufferPool)
     _patch_sharded(ShardedBufferPool)
     _patch_tracer(Tracer)
     _patch_telemetry(TelemetrySink)

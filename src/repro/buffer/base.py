@@ -12,11 +12,40 @@ never eviction candidates — but they do occupy buffer capacity.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from collections.abc import Hashable, Iterable, Sequence
+from collections.abc import Iterable, Sequence
 
-__all__ = ["BufferPool", "BufferStats", "PinningError"]
+import numpy as np
 
-PageId = Hashable
+__all__ = [
+    "BufferPool",
+    "BufferStats",
+    "PinningError",
+    "pin_table",
+    "pin_lookup",
+]
+
+PageId = int
+
+
+def pin_table(pins: frozenset[PageId]) -> np.ndarray:
+    """A boolean table with ``table[p]`` True for each pinned page
+    ``p``; its last slot (False) stands for every id above the highest
+    pin.  Pinned page ids must be non-negative ints."""
+    ids = np.fromiter(pins, dtype=np.int64, count=len(pins))
+    if ids.size and ids.min() < 0:
+        raise ValueError("pinned page ids must be non-negative ints")
+    table = np.zeros(ids.max(initial=-1) + 2, dtype=bool)
+    table[ids] = True
+    return table
+
+
+def pin_lookup(table: np.ndarray, pages: np.ndarray) -> np.ndarray:
+    """``table[page]`` for each of ``pages`` (an int64 array of
+    non-negative ids) in one ``take``; an id above the table's last
+    slot reads that slot."""
+    if pages.size and pages.min() < 0:
+        raise ValueError("page ids must be non-negative ints")
+    return table.take(pages, mode="clip")
 
 
 class PinningError(ValueError):
@@ -82,12 +111,18 @@ class BufferStats:
 class BufferPool(ABC):
     """Base class implementing pinning and accounting.
 
-    Each policy supplies one method, :meth:`request_batch`: a single
-    loop over a list of page ids, in order, that serves hits, admits
-    misses and evicts its victims, updating :attr:`stats` once per call.
-    The unpinned area's resident pages are the keys of ``self._frames``
-    (a dict whose values, and any side structure, belong to the
-    policy), which is all the shared introspection needs.
+    :meth:`request_batch` is the one entry point.  It answers pinned
+    pages with one lookup in a boolean table built at construction and
+    counts them as hits, settles the zero-unpinned-capacity case, and
+    hands the unpinned pages, in order, to the policy's one method,
+    :meth:`_replace`: a single loop that serves hits, admits misses
+    and evicts its victims.  The unpinned area's resident pages are
+    the keys of ``self._frames`` (a dict whose values, and any side
+    structure, belong to the policy), which is all the shared
+    introspection needs.
+
+    Page ids are non-negative ints (the level-major node ids every
+    stabber emits).
     """
 
     _frames: dict[PageId, object]
@@ -102,6 +137,7 @@ class BufferPool(ABC):
             raise PinningError(
                 f"cannot pin {len(pinned_set)} pages in a {capacity}-page buffer"
             )
+        self._pin_table = pin_table(pinned_set)
         self.capacity = capacity
         self.pinned = pinned_set
         self.stats = BufferStats()
@@ -114,25 +150,45 @@ class BufferPool(ABC):
         """Pages available to the replacement policy."""
         return self.capacity - len(self.pinned)
 
-    @abstractmethod
-    def request_batch(self, pages: Sequence[PageId]) -> list[int]:
+    def request_batch(self, pages: Sequence[PageId] | np.ndarray) -> list[int]:
         """Access every page of ``pages`` in order; returns the
         positions (indices into ``pages``) that missed.
 
-        A miss loads the page (a disk access), evicting the policy's
-        victim when the unpinned area is full.  When the unpinned
-        capacity is zero, missed pages are read and immediately
-        discarded — every unpinned access is then a disk access.
+        Pinned pages always hit.  A miss loads the page (a disk
+        access), evicting the policy's victim when the unpinned area
+        is full.  When the unpinned capacity is zero, missed pages are
+        read and immediately discarded — every unpinned access is then
+        a disk access.
         """
+        if not self.pinned:
+            if isinstance(pages, np.ndarray):
+                pages = pages.tolist()
+            return self._request_unpinned(pages, 0)
+        ids = np.asarray(pages, dtype=np.int64)
+        free = np.flatnonzero(~pin_lookup(self._pin_table, ids))
+        missed = self._request_unpinned(
+            ids[free].tolist(), ids.size - free.size
+        )
+        return free[missed].tolist()
 
-    def _miss_all_unpinned(self, pages: Sequence[PageId]) -> list[int]:
-        """:meth:`request_batch` with no unpinned capacity: every
-        unpinned page is read and discarded, so nothing is admitted or
-        evicted."""
-        pinned = self.pinned
-        missed = [i for i, page in enumerate(pages) if page not in pinned]
-        self.stats.add(len(pages), len(missed), 0)
+    def _request_unpinned(self, pages: list[PageId], pinned: int) -> list[int]:
+        """Serve ``pages``, none of them pinned, after ``pinned`` pinned
+        requests whose hits are counted here too; returns the positions
+        in ``pages`` that missed.  The one write path of a pool's state
+        and counters."""
+        if self.unpinned_capacity == 0:
+            missed = list(range(len(pages)))
+            evictions = 0
+        else:
+            missed, evictions = self._replace(pages)
+        self.stats.add(len(pages) + pinned, len(missed), evictions)
         return missed
+
+    @abstractmethod
+    def _replace(self, pages: list[PageId]) -> tuple[list[int], int]:
+        """The policy's replacement loop over unpinned pages, in order,
+        with at least one unpinned slot: returns the positions that
+        missed and the number of evictions."""
 
     def request(self, page: PageId) -> bool:
         """Access ``page``; returns True on a buffer hit (a one-page

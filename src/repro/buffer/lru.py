@@ -9,7 +9,7 @@ node put on the top of the LRU stack" (§4).
 from __future__ import annotations
 
 from collections import OrderedDict
-from collections.abc import Iterable, Sequence
+from collections.abc import Iterable
 
 from .base import BufferPool, PageId
 
@@ -27,12 +27,9 @@ class LRUBuffer(BufferPool):
         super().__init__(capacity, pinned)
         self._frames: OrderedDict[PageId, None] = OrderedDict()
 
-    def request_batch(self, pages: Sequence[PageId]) -> list[int]:
+    def _replace(self, pages: list[PageId]) -> tuple[list[int], int]:
         stack = self._frames
-        pinned = self.pinned
         room = self.unpinned_capacity
-        if room <= 0:
-            return self._miss_all_unpinned(pages)
         missed = []
         miss = missed.append
         touch = stack.move_to_end
@@ -42,7 +39,7 @@ class LRUBuffer(BufferPool):
         for i, page in enumerate(pages):
             if page in stack:
                 touch(page)
-            elif page not in pinned:
+            else:
                 miss(i)
                 if size < room:
                     size += 1
@@ -50,5 +47,4 @@ class LRUBuffer(BufferPool):
                     pop_lru(False)
                     evictions += 1
                 stack[page] = None
-        self.stats.add(len(pages), len(missed), evictions)
-        return missed
+        return missed, evictions

@@ -11,7 +11,7 @@ behave almost identically; see ``benchmarks/test_ablation_policies.py``.)
 from __future__ import annotations
 
 from collections import OrderedDict
-from collections.abc import Iterable, Sequence
+from collections.abc import Iterable
 
 import numpy as np
 
@@ -28,19 +28,16 @@ class FIFOBuffer(BufferPool):
         super().__init__(capacity, pinned)
         self._frames: OrderedDict[PageId, None] = OrderedDict()
 
-    def request_batch(self, pages: Sequence[PageId]) -> list[int]:
+    def _replace(self, pages: list[PageId]) -> tuple[list[int], int]:
         queue = self._frames
-        pinned = self.pinned
         room = self.unpinned_capacity
-        if room <= 0:
-            return self._miss_all_unpinned(pages)
         missed = []
         miss = missed.append
         pop_oldest = queue.popitem
         size = len(queue)
         evictions = 0
         for i, page in enumerate(pages):
-            if page in queue or page in pinned:
+            if page in queue:
                 continue  # FIFO ignores hits
             miss(i)
             if size < room:
@@ -49,8 +46,7 @@ class FIFOBuffer(BufferPool):
                 pop_oldest(False)
                 evictions += 1
             queue[page] = None
-        self.stats.add(len(pages), len(missed), evictions)
-        return missed
+        return missed, evictions
 
 
 class ClockBuffer(BufferPool):
@@ -66,12 +62,9 @@ class ClockBuffer(BufferPool):
         self._ring: list[PageId] = []
         self._hand = 0
 
-    def request_batch(self, pages: Sequence[PageId]) -> list[int]:
+    def _replace(self, pages: list[PageId]) -> tuple[list[int], int]:
         referenced = self._frames
-        pinned = self.pinned
         room = self.unpinned_capacity
-        if room <= 0:
-            return self._miss_all_unpinned(pages)
         ring = self._ring
         hand = self._hand
         missed = []
@@ -80,7 +73,7 @@ class ClockBuffer(BufferPool):
         for i, page in enumerate(pages):
             if page in referenced:
                 referenced[page] = True
-            elif page not in pinned:
+            else:
                 miss(i)
                 if len(ring) < room:
                     # Insert at the hand so the sweep order stays circular.
@@ -102,8 +95,7 @@ class ClockBuffer(BufferPool):
                     evictions += 1
                 referenced[page] = False
         self._hand = hand
-        self.stats.add(len(pages), len(missed), evictions)
-        return missed
+        return missed, evictions
 
     def resident_pages(self) -> list[PageId]:
         return list(self._ring)
@@ -123,23 +115,28 @@ class RandomBuffer(BufferPool):
         self._slots: list[PageId] = []
         self._rng = rng if rng is not None else np.random.default_rng(0)
 
-    def request_batch(self, pages: Sequence[PageId]) -> list[int]:
+    def _replace(self, pages: list[PageId]) -> tuple[list[int], int]:
         index = self._frames
-        pinned = self.pinned
         room = self.unpinned_capacity
-        if room <= 0:
-            return self._miss_all_unpinned(pages)
         slots = self._slots
-        draw = self._rng.integers
+        # Every eviction draws a slot below ``room`` (the pool is full
+        # then), so one vector draw holds a candidate for each page
+        # that could miss.  Rewinding the generator and drawing again
+        # exactly the victims used leaves it where one scalar draw per
+        # eviction would: a bounded vector draw yields the scalar
+        # draws' values and state, element by element.
+        bits = self._rng.bit_generator
+        before = bits.state
+        victims = self._rng.integers(room, size=len(pages)).tolist()
         missed = []
         miss = missed.append
         evictions = 0
         for i, page in enumerate(pages):
-            if page in index or page in pinned:
+            if page in index:
                 continue  # random replacement ignores recency
             miss(i)
             if len(slots) >= room:
-                slot = int(draw(len(slots)))
+                slot = victims[evictions]
                 victim = slots[slot]
                 last = slots.pop()
                 if slot < len(slots):
@@ -149,8 +146,9 @@ class RandomBuffer(BufferPool):
                 evictions += 1
             index[page] = len(slots)
             slots.append(page)
-        self.stats.add(len(pages), len(missed), evictions)
-        return missed
+        bits.state = before
+        self._rng.integers(room, size=evictions)
+        return missed, evictions
 
     def resident_pages(self) -> list[PageId]:
         return list(self._slots)

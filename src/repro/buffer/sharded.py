@@ -32,7 +32,9 @@ Semantics, stated honestly:
 it partitions a batch once, keeping stream order within each shard,
 and runs each shard's requests under one acquisition of its lock.  A
 shard's state depends only on the subsequence it sees, so the result
-is the same as requesting the pages one by one.
+is the same as requesting the pages one by one.  The same pass sets
+the pinned pages apart, so they never reach a replacement loop and
+only add to their shard's hit count.
 
 Pinned pages (§3.3) are partitioned like any other id and occupy
 capacity in their home shard; a pin distribution that overflows some
@@ -51,7 +53,14 @@ from collections.abc import Iterable
 
 import numpy as np
 
-from .base import BufferPool, BufferStats, PageId, PinningError
+from .base import (
+    BufferPool,
+    BufferStats,
+    PageId,
+    PinningError,
+    pin_lookup,
+    pin_table,
+)
 from .policies import POLICIES
 
 __all__ = ["ShardedBufferPool"]
@@ -136,6 +145,12 @@ class ShardedBufferPool:
         self._locks: tuple[threading.Lock, ...] = tuple(
             threading.Lock() for _ in range(shards)
         )
+        # Bucket s < K holds shard s's unpinned pages and bucket K + s
+        # its pinned ones; the table adds K to a pinned page's
+        # ``page % K``.  The smallest unsigned type keeps the stable
+        # argsort a radix sort.
+        bucket_dtype = np.min_scalar_type(2 * shards - 1)
+        self._pin_offsets = pin_table(pinned_set).astype(bucket_dtype) * shards
 
     # ------------------------------------------------------------------
     # The hot path
@@ -155,24 +170,38 @@ class ShardedBufferPool:
         """Access every page in ``pages`` in order; returns the hit count.
 
         Equivalent to ``sum(self.request(int(p)) for p in pages)``, but
-        the batch is split once by ``pages % K`` — a boolean-mask take,
-        so each shard's pages keep their stream order — and each shard
-        serves its part with one
-        :meth:`~repro.buffer.base.BufferPool.request_batch` call under
-        a single acquisition of its lock.  A shard's state depends only
-        on the subsequence it sees, in order, so the counters equal the
-        page-at-a-time path's.
+        each shard serves its part of the batch under one acquisition
+        of its lock.  With one shard that is one
+        :meth:`~repro.buffer.base.BufferPool.request_batch` call.  With
+        ``K`` shards, one pass splits pins and shards at once: each
+        page gets the bucket ``page % K``, plus ``K`` when it is
+        pinned; one ``bincount`` gives every shard's unpinned and
+        pinned counts, and one stable argsort groups the unpinned
+        pages by shard in stream order.  Each shard's replacement loop
+        sees only its unpinned pages, and its pinned ones count as
+        hits.  A shard's state depends only on the subsequence it sees,
+        in order, so the counters equal the page-at-a-time path's.
         """
-        pages = np.asarray(pages)
-        if self.n_shards == 1:
-            parts = [pages]
-        else:
-            home = pages % self.n_shards
-            parts = [pages[home == s] for s in range(self.n_shards)]
+        pages = np.asarray(pages, dtype=np.int64)
+        k = self.n_shards
+        if k == 1:
+            with self._locks[0]:
+                return pages.size - len(self._pools[0].request_batch(pages))
+        bucket = pin_lookup(self._pin_offsets, pages)
+        bucket += (pages % k).astype(bucket.dtype)
+        counts = np.bincount(bucket, minlength=2 * k).tolist()
+        n_free = sum(counts[:k])
+        order = bucket.argsort(kind="stable")[:n_free]
+        free = pages.take(order).tolist()
         hits = 0
-        for lock, pool, part in zip(self._locks, self._pools, parts):
+        start = 0
+        for lock, pool, n, pinned in zip(
+            self._locks, self._pools, counts[:k], counts[k:]
+        ):
+            part = free[start : start + n]
+            start += n
             with lock:
-                hits += len(part) - len(pool.request_batch(part.tolist()))
+                hits += n + pinned - len(pool._request_unpinned(part, pinned))
         return hits
 
     # ------------------------------------------------------------------

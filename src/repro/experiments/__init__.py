@@ -4,10 +4,8 @@ from __future__ import annotations
 
 from . import fig5, fig6, fig7, fig8, fig9, fig10, fig11, table1, table2
 from .common import Table, get_dataset, get_description
-from .runner import EXPERIMENTS, main
 
 __all__ = [
-    "EXPERIMENTS",
     "Table",
     "fig5",
     "fig6",
@@ -18,7 +16,6 @@ __all__ = [
     "fig11",
     "get_dataset",
     "get_description",
-    "main",
     "table1",
     "table2",
 ]

@@ -382,7 +382,7 @@ def _run_queries(
             sparse = stabber.stab(points)
             ids, indptr = sparse.ids, sparse.indptr
     with span("simulate.buffer_loop", queries=count):
-        missed = buffer.request_batch(ids.tolist())
+        missed = buffer.request_batch(ids)
         if levels is not None:
             levels.record(ids, missed)
         if trace is not None:

@@ -209,14 +209,21 @@ class TestShardLockGuards:
     def test_unguarded_shard_request_batch_raises(self, sanitizer, policy):
         from repro.buffer import ShardedBufferPool
 
-        pool = ShardedBufferPool(16, 2, policy=policy)
-        # Each policy defines its own batch loop, so each class needs
-        # the guard — the base request() patch alone would miss it.
-        with pytest.raises(SanitizerError, match="request_batch"):
-            pool._pools[0].request_batch([2, 4, 6])
-        assert pool._pools[0].stats.requests == 0
+        pool = ShardedBufferPool(16, 2, policy=policy, pinned=[0])
+        shard = pool._pools[0]
+        # Every policy's replacement loop runs inside the pool's one
+        # write path, whose guard therefore covers all four; a batch of
+        # pinned pages reaches no loop but still goes through it.
+        with pytest.raises(SanitizerError, match="_request_unpinned"):
+            shard.request_batch([2, 4, 6])
+        with pytest.raises(SanitizerError, match="_request_unpinned"):
+            shard.request_batch([0, 0])
+        assert shard.stats.requests == 0
         with pool._locks[0]:
-            assert pool._pools[0].request_batch([2, 4, 2]) == [0, 1]
+            assert shard.request_batch([2, 4, 0, 2]) == [0, 1]
+        assert shard.stats.as_dict() == {
+            "requests": 4, "hits": 2, "misses": 2, "evictions": 0,
+        }
 
     def test_unguarded_shard_stats_write_raises(self, sanitizer):
         from repro.buffer import ShardedBufferPool

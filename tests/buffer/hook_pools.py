@@ -8,7 +8,9 @@ pinned hit and miss (with its victim).  These classes are that code,
 unchanged in behaviour, and :class:`EventLevelTable` is the per-event
 level attribution that sink fed.  The batch loops and the array-built
 :class:`~repro.obs.LevelStatsTable` are held to them by
-``tests/buffer/test_batch_loops.py``.
+``tests/buffer/test_batch_loops.py``, and the sharded pool's shards by
+``tests/buffer/test_sharded.py``.  :func:`spy_on_loop` makes a real
+pool's replacement loop fail if a pinned page ever reaches it.
 """
 
 from __future__ import annotations
@@ -196,6 +198,20 @@ class HookRandom(HookBufferPool):
 
     def resident_pages(self):
         return list(self._pages)
+
+
+def spy_on_loop(pool):
+    """Wrap ``pool``'s replacement loop so that it fails if a pinned
+    page, or a batch with no unpinned slot to serve it, reaches it."""
+    loop = pool._replace
+
+    def spy(pages):
+        leaked = pool.pinned.intersection(pages)
+        assert not leaked, f"pinned pages {sorted(leaked)} reached the loop"
+        assert pool.unpinned_capacity > 0, "loop ran without a free slot"
+        return loop(pages)
+
+    pool._replace = spy
 
 
 HOOK_POLICIES = {

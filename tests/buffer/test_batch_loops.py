@@ -2,12 +2,17 @@
 
 The oracle (``tests/buffer/hook_pools.py``) is the pool every policy
 used to be: five hooks driven one page at a time.  The properties
-below feed both the same page streams, cut into random batches, over
-random pins and capacities (zero unpinned capacity included) and, for
-RANDOM, a generator that the caller also draws from between batches.
-They must agree on every miss position, the counters, the resident
-pages in policy order, CLOCK's hand and reference bits, and the
-generator's state.  A second property holds the per-level counters
+below feed both the same page streams, cut into random batches (empty
+ones included, as lists and as int64 arrays), over random pins and
+capacities (zero unpinned capacity included) and, for RANDOM, a
+generator that the caller also draws from between batches.  The pins
+are laid out four ways against the requested pages: anywhere, one pin
+above every requested page, a requested page above every pin (the pin
+table's last slot), and every requested page pinned.  The pools must
+agree on every miss position, the counters, the resident pages in
+policy order, CLOCK's hand and reference bits, RANDOM's slots and the
+generator's state, and no pinned page may reach the batch pool's
+replacement loop.  A second property holds the per-level counters
 built from arrays (with evictions from the conservation identity) to
 the per-event attribution of the old sink.
 """
@@ -21,7 +26,11 @@ from hypothesis import strategies as st
 
 from repro.buffer import POLICIES
 from repro.obs import LevelStatsTable
-from tests.buffer.hook_pools import HOOK_POLICIES, EventLevelTable
+from tests.buffer.hook_pools import (
+    HOOK_POLICIES,
+    EventLevelTable,
+    spy_on_loop,
+)
 
 _POLICY_NAMES = sorted(POLICIES)
 
@@ -35,16 +44,43 @@ def _make(policy, capacity, pinned, rng_seed, hook):
 
 
 def _chunks(stream, cuts):
-    bounds = sorted({0, len(stream), *(c % (len(stream) + 1) for c in cuts)})
+    """``stream`` cut at ``cuts``; a repeated cut leaves an empty batch."""
+    bounds = sorted([0, len(stream), *(c % (len(stream) + 1) for c in cuts)])
     return [stream[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
+
+
+def _batch(chunk, n):
+    """Every other batch as the int64 array the simulator hands over."""
+    return np.asarray(chunk, dtype=np.int64) if n % 2 else chunk
+
+
+@st.composite
+def pinned_stream(draw, n_pages, max_pins=6, homed=frozenset()):
+    """A page stream over ``range(n_pages)`` and pins (``homed`` among
+    them) laid out against it in one of the four ways the module
+    docstring names."""
+    page = st.integers(0, n_pages - 1)
+    stream = draw(st.lists(page, max_size=120))
+    pinned = draw(st.frozensets(page, max_size=max_pins)) | homed
+    layout = draw(
+        st.sampled_from(("any", "pin_above", "page_above", "all_pinned"))
+    )
+    if layout == "pin_above":
+        pinned |= {max(stream, default=0) + draw(st.integers(1, 40))}
+    elif layout == "page_above":
+        high = max(pinned, default=-1) + draw(st.integers(1, 40))
+        for _ in range(draw(st.integers(1, 3))):
+            stream.insert(draw(st.integers(0, len(stream))), high)
+    elif layout == "all_pinned":
+        pinned |= frozenset(stream)
+    return stream, pinned
 
 
 @st.composite
 def pool_setups(draw, max_page=24):
     n_pages = draw(st.integers(1, max_page))
-    pinned = draw(st.frozensets(st.integers(0, n_pages - 1), max_size=6))
+    stream, pinned = draw(pinned_stream(n_pages))
     extra = draw(st.integers(0 if pinned else 1, 8))
-    stream = draw(st.lists(st.integers(0, n_pages - 1), max_size=120))
     cuts = draw(st.lists(st.integers(0, 200), max_size=12))
     return n_pages, pinned, len(pinned) + extra, stream, cuts
 
@@ -57,12 +93,15 @@ class TestBatchLoopMatchesHooks:
         n_pages, pinned, capacity, stream, cuts = setup
         batched, batched_rng = _make(policy, capacity, pinned, seed, False)
         oracle, oracle_rng = _make(policy, capacity, pinned, seed, True)
+        spy_on_loop(batched)
 
         batched_missed: list[int] = []
         oracle_missed: list[int] = []
         start = 0
-        for chunk in _chunks(stream, cuts):
-            batched_missed += [start + i for i in batched.request_batch(chunk)]
+        for n, chunk in enumerate(_chunks(stream, cuts)):
+            batched_missed += [
+                start + i for i in batched.request_batch(_batch(chunk, n))
+            ]
             oracle_missed += [
                 start + i
                 for i, page in enumerate(chunk)
@@ -80,7 +119,7 @@ class TestBatchLoopMatchesHooks:
         assert batched.resident_pages() == oracle.resident_pages()
         assert len(batched) == len(oracle)
         assert batched.is_full() == oracle.is_full()
-        for page in range(n_pages):
+        for page in set(range(n_pages)) | set(stream) | pinned:
             assert (page in batched) == (page in oracle)
         if policy == "clock":
             assert batched._hand == oracle._hand

@@ -26,8 +26,8 @@ ALL = [LRUBuffer, FIFOBuffer, ClockBuffer, RandomBuffer]
 class TestCommonContract:
     def test_miss_then_hit(self, policy):
         buf = make(policy, 2)
-        assert not buf.request("a")
-        assert buf.request("a")
+        assert not buf.request(1)
+        assert buf.request(1)
 
     def test_never_exceeds_capacity(self, policy):
         buf = make(policy, 3)
@@ -47,54 +47,54 @@ class TestCommonContract:
         assert s.evictions == s.misses - len(buf)
 
     def test_pinned_always_hit_never_evicted(self, policy):
-        buf = make(policy, 3, pinned=["r"])
+        buf = make(policy, 3, pinned=[0])
         rng = np.random.default_rng(2)
         for _ in range(200):
             buf.request(int(rng.integers(8)))
-        assert buf.request("r")
-        assert "r" in buf
+        assert buf.request(0)
+        assert 0 in buf
 
     def test_pinning_overflow_raises(self, policy):
         with pytest.raises(PinningError):
-            make(policy, 1, pinned=["a", "b"])
+            make(policy, 1, pinned=[1, 2])
 
     def test_single_page_working_set_always_hits(self, policy):
         buf = make(policy, 1)
-        buf.request("x")
+        buf.request(1)
         for _ in range(10):
-            assert buf.request("x")
+            assert buf.request(1)
 
 
 class TestFIFO:
     def test_eviction_ignores_hits(self):
         buf = FIFOBuffer(2)
-        buf.request("a")
-        buf.request("b")
-        buf.request("a")  # hit must NOT refresh FIFO position
-        buf.request("c")  # evicts a (oldest arrival)
-        assert "a" not in buf
-        assert "b" in buf
+        buf.request(1)
+        buf.request(2)
+        buf.request(1)  # hit must NOT refresh FIFO position
+        buf.request(3)  # evicts 1 (oldest arrival)
+        assert 1 not in buf
+        assert 2 in buf
 
 
 class TestClock:
     def test_second_chance(self):
         buf = ClockBuffer(2)
-        buf.request("a")
-        buf.request("b")
-        buf.request("a")  # sets a's reference bit
-        buf.request("c")  # sweep clears a's bit, evicts b
-        assert "a" in buf
-        assert "b" not in buf
+        buf.request(1)
+        buf.request(2)
+        buf.request(1)  # sets 1's reference bit
+        buf.request(3)  # sweep clears 1's bit, evicts 2
+        assert 1 in buf
+        assert 2 not in buf
 
     def test_sweep_wraps_around(self):
         buf = ClockBuffer(3)
-        for p in ("a", "b", "c"):
+        for p in (1, 2, 3):
             buf.request(p)
-        for p in ("a", "b", "c"):
+        for p in (1, 2, 3):
             buf.request(p)  # all referenced
-        buf.request("d")  # must clear all bits, wrap, and evict one
+        buf.request(4)  # must clear all bits, wrap, and evict one
         assert len(buf) == 3
-        assert "d" in buf
+        assert 4 in buf
 
 
 class TestRandom:
@@ -102,7 +102,7 @@ class TestRandom:
         def trace(seed):
             buf = RandomBuffer(2, rng=np.random.default_rng(seed))
             out = []
-            for p in ("a", "b", "c", "a", "d", "b", "c"):
+            for p in (1, 2, 3, 1, 4, 2, 3):
                 out.append(buf.request(p))
             return out
 

@@ -1,5 +1,6 @@
 """Sharded buffer pool: partitioning, K=1 exactness, sum reconciliation,
-and the batch path against the page-at-a-time path."""
+and the batch path against the page-at-a-time path and the hook-based
+oracle."""
 
 from __future__ import annotations
 
@@ -8,9 +9,13 @@ import threading
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.buffer import LRUBuffer, PinningError, ShardedBufferPool
 from repro.buffer.policies import POLICIES
+from tests.buffer.hook_pools import HOOK_POLICIES, spy_on_loop
+from tests.buffer.test_batch_loops import _batch, _chunks, pinned_stream
 
 
 def _trace(rng: np.random.Generator, n: int, universe: int) -> list[int]:
@@ -161,6 +166,89 @@ class TestBatchMatchesPerPage:
         assert batch_hits == single_hits
         assert batched.aggregate_stats().hits == single_hits
         assert len(batched) == len(single)
+
+
+@st.composite
+def sharded_setups(draw):
+    """K in 1..5 with pins homed to every shard, laid out against the
+    stream as in ``test_batch_loops``; a shard whose pins fill it has no
+    unpinned slot."""
+    shards = draw(st.integers(1, 5))
+    homed = frozenset(
+        s + shards * draw(st.integers(0, 7)) for s in range(shards)
+    )
+    stream, pinned = draw(
+        pinned_stream(8 * shards, max_pins=3 * shards, homed=homed)
+    )
+    per_shard = max(
+        sum(1 for p in pinned if p % shards == s) for s in range(shards)
+    )
+    capacity = shards * per_shard + draw(st.integers(0, 2 * shards))
+    cuts = draw(st.lists(st.integers(0, 200), max_size=12))
+    return shards, pinned, capacity, stream, cuts
+
+
+class TestBatchMatchesOracle:
+    """Every shard == the hook-based oracle fed its ``page % K``
+    subsequence one page at a time, and == per-page ``request()``."""
+
+    @pytest.mark.parametrize("policy", sorted(POLICIES))
+    @settings(max_examples=100, deadline=None)
+    @given(setup=sharded_setups(), seed=st.integers(0, 2**16))
+    def test_shards_match_oracle_and_per_page(self, policy, setup, seed):
+        shards, pinned, capacity, stream, cuts = setup
+        kwargs = dict(policy=policy, pinned=pinned, rng=seed)
+        batched = ShardedBufferPool(capacity, shards, **kwargs)
+        single = ShardedBufferPool(capacity, shards, **kwargs)
+        for pool in batched._pools:
+            spy_on_loop(pool)
+
+        hits = sum(
+            batched.request_batch(_batch(chunk, n))
+            for n, chunk in enumerate(_chunks(stream, cuts))
+        )
+        assert hits == sum(single.request(page) for page in stream)
+        assert [s.as_dict() for s in batched.shard_stats()] == [
+            s.as_dict() for s in single.shard_stats()
+        ]
+        for s, (pool, shard_capacity) in enumerate(
+            zip(batched._pools, batched.shard_capacities())
+        ):
+            pins = [p for p in pinned if p % shards == s]
+            if policy == "random":
+                rng = np.random.default_rng(seed + s)
+                oracle = HOOK_POLICIES[policy](shard_capacity, pins, rng=rng)
+            else:
+                oracle = HOOK_POLICIES[policy](shard_capacity, pins)
+            for page in stream:
+                if page % shards == s:
+                    oracle.request(page)
+            assert pool.stats.as_dict() == oracle.stats.as_dict()
+            assert pool.resident_pages() == oracle.resident_pages()
+            if policy == "clock":
+                assert pool._hand == oracle._hand
+                assert pool._frames == oracle._referenced
+            if policy == "random":
+                assert pool._frames == oracle._index
+                assert (
+                    pool._rng.bit_generator.state
+                    == oracle._rng.bit_generator.state
+                )
+
+
+class TestPageIds:
+    def test_negative_pin_rejected(self):
+        with pytest.raises(ValueError, match="non-negative"):
+            LRUBuffer(4, pinned=[-1])
+        with pytest.raises(ValueError, match="non-negative"):
+            ShardedBufferPool(4, 2, pinned=[-2])
+
+    @pytest.mark.parametrize("shards", [1, 3])
+    def test_negative_page_rejected_where_pins_are_looked_up(self, shards):
+        pool = ShardedBufferPool(6, shards, pinned=[0])
+        with pytest.raises(ValueError, match="non-negative"):
+            pool.request_batch(np.array([1, -3]))
+        assert pool.aggregate_stats().requests == 0
 
 
 class TestConcurrency:

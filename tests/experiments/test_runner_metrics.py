@@ -1,6 +1,10 @@
 """The ``--metrics-out`` export path of ``repro-experiments``."""
 
+import os
+import subprocess
+import sys
 from dataclasses import dataclass
+from pathlib import Path
 
 import pytest
 
@@ -28,6 +32,8 @@ TINY_SERVE_PROBE = ServeProbeSpec(
     rate_qps=50_000.0, n_queries=150, max_batch=32,
 )
 """A serving probe small enough for the unit-test budget."""
+
+REPO_ROOT = Path(__file__).parents[2]
 
 
 @dataclass(frozen=True)
@@ -274,3 +280,26 @@ class TestTelemetryOut:
         assert (tmp_path / "telemetry-fig5.jsonl").exists()
         assert (tmp_path / "telemetry-fig6.jsonl").exists()
         assert not stream.exists()
+
+
+class TestModuleInvocation:
+    def test_runner_runs_as_a_module_without_warnings(self):
+        # ``python -m repro.experiments.runner`` (the form CI and the
+        # docs use) warns if importing the package already imported
+        # the runner, so the package must not re-export from it.
+        path = os.pathsep.join(
+            [str(REPO_ROOT / "src"), os.environ.get("PYTHONPATH", "")]
+        )
+        done = subprocess.run(
+            [
+                sys.executable, "-W", "error::RuntimeWarning",
+                "-m", "repro.experiments.runner", "table2",
+            ],
+            env={**os.environ, "PYTHONPATH": path},
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stderr == ""
+        assert "Table 2" in done.stdout
