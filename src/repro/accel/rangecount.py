@@ -90,40 +90,6 @@ class SortedRangeCounter:
                 level[padded_n] = np.nan  # sentinel: safe overshoot reads
                 self._levels.append(level)
 
-    def prefix_rank(
-        self,
-        k: np.ndarray,
-        y: np.ndarray,
-        *,
-        strict: bool = False,
-    ) -> np.ndarray:
-        """Vectorised dominance counts over x-order prefixes.
-
-        For each lane ``i``, counts the points among the first
-        ``k[i]`` in **x-sorted order** whose y-value is ``<= y[i]``
-        (``< y[i]`` when ``strict``).  This exposes the Fenwick
-        mergesort-tree directly for callers whose x-slab cuts are
-        already known — the offline LRU stack-distance engine
-        (:mod:`repro.simulation.stackdist`) builds the counter over
-        ``(position, previous-position)`` points, where positions are
-        ``0..n-1`` so every prefix cut is just an index and the two
-        ``searchsorted`` calls of :meth:`count` would be wasted work.
-
-        ``k`` entries must lie in ``[0, n_points]``; 2-D counters only.
-        Returns an int64 array of ``k.shape[0]`` counts.
-        """
-        if self.dim != 2:
-            raise GeometryError("prefix_rank needs a 2-D counter")
-        k = np.asarray(k, dtype=np.int64)
-        y = np.asarray(y, dtype=np.float64)
-        if k.ndim != 1 or y.ndim != 1 or k.shape != y.shape:
-            raise GeometryError("k and y must be 1-D arrays of equal length")
-        if k.size and (k.min() < 0 or k.max() > self.n_points):
-            raise GeometryError(
-                f"prefix lengths must lie in [0, {self.n_points}]"
-            )
-        return self._prefix_rank(k, y, strict)
-
     def _prefix_rank(
         self, k: np.ndarray, y: np.ndarray, strict: bool
     ) -> np.ndarray:
@@ -206,11 +172,11 @@ def segmented_left_rank(
     consecutive: element ``i`` belongs to segment ``i // segment``;
     the last segment may be short).  This is the inner kernel of the
     offline LRU stack-distance engine
-    (:mod:`repro.simulation.stackdist`), which turns the global
-    dominance count of :meth:`SortedRangeCounter.prefix_rank` into a
-    per-segment one plus a tiny per-segment "live pages" snapshot —
-    cheaper because a segment's merge tree is shallow and because
-    segments are independent (and therefore trivially parallel).
+    (:mod:`repro.simulation.stackdist`), which turns a global
+    dominance count into a per-segment one plus the LRU stack at each
+    segment boundary — cheaper because a segment's merge tree is
+    shallow and because segments are independent (and therefore
+    trivially parallel).
     That engine decides every buffer size of the paper's buffer
     curves (Fig. 6, 9 and 11) in one pass via the left-rank identity
     ``D(t) = rank(t) − prev[t] − 1`` for within-segment reuse; the

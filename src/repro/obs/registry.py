@@ -5,10 +5,11 @@ accesses per query) hides the behaviour that actually matters (which
 *pages* hit the buffer).  The same is true of the reproduction's own
 instrumentation: one ``BufferStats`` object cannot say where time went
 or which tree level absorbed the hits.  :class:`MetricsRegistry` is
-the sink everything observable funnels into — simulation phases record
-timers, buffer totals land in counters, configuration lands in gauges
-— and :func:`MetricsRegistry.to_dict` renders the whole registry as a
-plain JSON-ready mapping for the ``--metrics-out`` export.
+the sink everything observable funnels into — the runner's probes
+record timers, buffer totals land in counters, configuration lands in
+gauges — and :func:`MetricsRegistry.to_dict` renders the whole
+registry as a plain JSON-ready mapping for the ``--metrics-out``
+export.
 
 The registry is deliberately tiny: no labels, no exposition formats,
 no background threads.  Metrics are plain attributes mutated inline,
@@ -119,7 +120,7 @@ class MetricsRegistry:
     --------
     >>> registry = MetricsRegistry()
     >>> registry.counter("buffer.requests").inc(3)
-    >>> with registry.timer("simulate.warmup"):
+    >>> with registry.timer("probe.wall"):
     ...     pass
     >>> registry.to_dict()["counters"]["buffer.requests"]
     3

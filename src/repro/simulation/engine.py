@@ -27,9 +27,9 @@ Observability: measurement batches are bracketed by
 ``BufferStats.reset()`` so every batch's counters are independent
 (``SimulationResult.batch_stats``), and passing a
 :class:`~repro.obs.MetricsRegistry` adds per-level counters, built
-from each chunk's page and miss arrays, and phase timers — see
+from each chunk's page and miss arrays — see
 ``docs/OBSERVABILITY.md``.  The buffer loop is the same either way.
-Independently, when a process-wide tracer is installed
+Phase times come from spans: when a process-wide tracer is installed
 (``repro.obs.use_tracer``) the phases emit nested spans — simulate →
 warmup/measure → per-batch → sample/stab/buffer loop — at chunk
 granularity, so the un-traced run pays only the no-op span dispatch
@@ -38,7 +38,6 @@ granularity, so the un-traced run pays only the no-op span dispatch
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -135,10 +134,10 @@ def simulate(
         Optional :class:`~repro.obs.MetricsRegistry`.  When given, a
         :class:`~repro.obs.LevelStatsTable` counts the measurement
         window's requests per tree level (levels resolved via
-        ``desc.level_offsets``), the warm-up and measurement phases
-        are timed into ``simulate.warmup`` / ``simulate.measure``, and
-        the aggregate measurement-window counters land in ``buffer.*``
-        counters.  The result then carries ``level_stats``.
+        ``desc.level_offsets``), and the aggregate measurement-window
+        counters land in ``buffer.*`` counters.  The result then
+        carries ``level_stats``.  The phases are timed by the
+        ``simulate.warmup`` / ``simulate.measure`` spans.
     trace_last:
         Retain the last this-many queries' touched node ids and miss
         sets on ``SimulationResult.trace`` (0 disables tracing).
@@ -200,7 +199,6 @@ def simulate(
         # Warm-up: reach the state the model's steady-state estimate
         # targets.
         # --------------------------------------------------------------
-        started = time.perf_counter_ns() if registry is not None else 0
         warmed = 0
         with span("simulate.warmup"):
             for step in _warmup_schedule(warmup_queries, warmup_cap):
@@ -209,10 +207,6 @@ def simulate(
                 _run_queries(buffer, stabber, workload, rng, step, trace)
                 warmed += step
         buffer_filled = buffer.is_full()
-        if registry is not None:
-            registry.timer("simulate.warmup").record(
-                (time.perf_counter_ns() - started) / 1e9
-            )
 
         # --------------------------------------------------------------
         # Measurement: batch means over misses and accesses per query.
@@ -220,7 +214,6 @@ def simulate(
         # statistics are independent and the batch snapshots sum to the
         # measurement-window totals.
         # --------------------------------------------------------------
-        started = time.perf_counter_ns() if registry is not None else 0
         buffer.stats.reset()
         if levels is not None:
             levels.reset(buffer)
@@ -245,9 +238,6 @@ def simulate(
                 buffer.stats.reset()
 
     if registry is not None:
-        registry.timer("simulate.measure").record(
-            (time.perf_counter_ns() - started) / 1e9
-        )
         totals = _sum_stats(batch_snapshots)
         registry.counter("buffer.requests").inc(totals.requests)
         registry.counter("buffer.hits").inc(totals.hits)

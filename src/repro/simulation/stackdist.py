@@ -26,26 +26,24 @@ positional *left rank*:
 
     D(t) = #{ s < t : prev[s] <= prev[t] } − prev[t] − 1.
 
-A global left rank is still O(n log² n) with fat constants (the
-binary-indexed mergesort tree of
-:meth:`repro.accel.SortedRangeCounter.prefix_rank`, kept as the
-reference oracle in the tests).  The engine instead splits the stream
-into fixed segments and exploits the small page alphabet (pages =
-tree nodes):
+A global left rank is O(n log² n) with fat constants.  The engine
+instead splits the stream into fixed segments and exploits the small
+page alphabet (pages = tree nodes):
 
-* ``prev[t]`` inside ``t``'s segment — the count telescopes to the
-  segment-local left rank of
+* ``prev[t]`` inside ``t``'s segment (a *near* access) — the count
+  telescopes to the segment-local left rank of
   :func:`repro.accel.segmented_left_rank`, a shallow two-level
   merge-count kernel run over all segments in lock-step (and in
   parallel across segment spans);
-* ``prev[t]`` before the segment — the distinct pages in the window
-  split at the segment boundary into a *snapshot* term (live pages at
-  the boundary whose last access is after ``prev[t]``) plus the same
-  segment-local rank.  Each position ``q`` is live for a contiguous
-  run of segment boundaries (until its page's next access), so every
-  snapshot table materialises at once from one ``np.repeat`` and one
-  sort, and one flat offset-keyed ``searchsorted`` serves every
-  query — no per-segment Python loop anywhere.
+* ``prev[t]`` before the segment (a *far* access) — the distinct
+  pages in the window split at the segment boundary into a *stack*
+  term (pages whose last access before the boundary is after
+  ``prev[t]``) plus the same segment-local rank.  One walk over the
+  boundaries keeps a single ``last[page]`` table: at each boundary it
+  writes the previous segment's last positions, and the sorted live
+  entries are the LRU stack there, so the walk's memory is bounded
+  by the tree, not by the stream.  The walk is a Python loop with one
+  step per segment; boundaries without a far access only write.
 
 Pinning reduction (§3.3): pinned pages always hit and never occupy the
 LRU area, so they are excluded from the access stream and every
@@ -81,7 +79,6 @@ thread ids).
 
 from __future__ import annotations
 
-import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -110,9 +107,10 @@ kernel and per-capacity accounting.  Results never depend on it."""
 
 _LR_SEGMENT = 512
 """Segment length of the stack-distance kernel: both the left-rank
-segments and the snapshot boundaries.  Must be a multiple of the
-left-rank block (64).  Short segments keep the lock-step merge shallow
-— measured fastest around 512 for streams near 10⁶ accesses."""
+segments and the boundaries the far-access walk stops at.  Must be a
+multiple of the left-rank block (64).  Short segments keep the
+lock-step merge shallow — measured fastest around 512 for streams
+near 10⁶ accesses."""
 
 
 def simulate_sweep(
@@ -160,10 +158,11 @@ def simulate_sweep(
         ``Generator`` is rejected — per-capacity equivalence requires
         replaying the stream from a known seed.
     registry:
-        When given, the sweep records a ``simulate.sweep`` timer and
-        ``sweep.*`` gauges.  Per-level sinks and query traces are a
-        per-capacity affair — use :func:`~repro.simulation.simulate`
-        (e.g. the metrics probes) when you need ``level_stats``.
+        When given, the sweep records ``sweep.*`` and ``sim.*`` gauges
+        (the ``simulate.sweep`` span times it).  Per-level sinks and
+        query traces are a per-capacity affair — use
+        :func:`~repro.simulation.simulate` (e.g. the metrics probes)
+        when you need ``level_stats``.
 
     Raises :class:`~repro.buffer.PinningError` when any swept size
     cannot hold the pinned levels — filter infeasible sizes first
@@ -215,7 +214,6 @@ def simulate_sweep(
         batch_size=batch_size,
         mode="stackdist" if stackdist else "fallback",
     )
-    started = time.perf_counter_ns() if registry is not None else 0
     with root:
         if stackdist:
             results = _stackdist_sweep(
@@ -248,9 +246,6 @@ def simulate_sweep(
                 for b in buffer_sizes
             )
     if registry is not None:
-        registry.timer("simulate.sweep").record(
-            (time.perf_counter_ns() - started) / 1e9
-        )
         registry.gauge("sweep.capacities").set(len(buffer_sizes))
         registry.gauge("sweep.pinned_pages").set(pinned_count)
         registry.gauge("sim.batches").set(n_batches)
@@ -269,16 +264,18 @@ class _Stream:
 
     ``q_indptr`` delimits each query's accesses (pinned included), so
     ``q_indptr[q+1] - q_indptr[q]`` is query ``q``'s node-access
-    count.  ``pages`` / ``q_of_page`` are the unpinned subsequence the
-    LRU area sees, in request order.  ``bounds`` / ``bound_distinct``
-    are the warm-up chunk boundaries (cumulative query counts) with
-    the number of distinct unpinned pages seen at each — the data the
-    online engine's "warm up until full" check reads.
+    count.  ``pages`` is the unpinned subsequence the LRU area sees,
+    in request order, and ``page_indptr`` delimits each query's part
+    of it: ``page_indptr[q]`` unpinned accesses precede query ``q``.
+    ``bounds`` / ``bound_distinct`` are the warm-up chunk boundaries
+    (cumulative query counts) with the number of distinct unpinned
+    pages seen at each — the data the online engine's "warm up until
+    full" check reads.
     """
 
     q_indptr: np.ndarray
     pages: np.ndarray
-    q_of_page: np.ndarray
+    page_indptr: np.ndarray
     bounds: np.ndarray
     bound_distinct: np.ndarray
     backend: str
@@ -367,12 +364,13 @@ def _generate_stream(
     q_indptr = np.zeros(target + 1, dtype=np.int64)
     np.cumsum(all_lengths, out=q_indptr[1:])
     ids = np.concatenate(id_chunks)[: q_indptr[-1]]
-    q_of_access = np.repeat(np.arange(target, dtype=np.int64), all_lengths)
     unpinned = ids >= pinned_count
+    unpinned_before = np.zeros(ids.shape[0] + 1, dtype=np.int64)
+    np.cumsum(unpinned, out=unpinned_before[1:])
     return _Stream(
         q_indptr=q_indptr,
         pages=ids[unpinned],
-        q_of_page=q_of_access[unpinned],
+        page_indptr=unpinned_before[q_indptr],
         bounds=np.asarray(bounds, dtype=np.int64),
         bound_distinct=np.asarray(bound_distinct, dtype=np.int64),
         backend=backend,
@@ -430,9 +428,10 @@ def _stack_distances(
       ``depth = T + W(t) - p - 1``;
     * ``p < T``:  the in-segment part is ``W(t)`` verbatim, and the
       part in ``(p, T)`` is the number of distinct pages touched there
-      — the live positions at ``T`` greater than ``p``, read off the
-      snapshot table (``p`` itself is live and lands on the ``<= p``
-      side, so ``page[t]`` is never double-counted).
+      — the entries greater than ``p`` in the LRU stack at ``T`` (each
+      page's last position before ``T``, sorted); ``p`` itself is in
+      the stack and lands on the ``<= p`` side, so ``page[t]`` is
+      never double-counted.
     """
     n = pages.shape[0]
     prev = np.full(n, -1, dtype=np.int64)
@@ -441,6 +440,7 @@ def _stack_distances(
         sorted_pages = pages[order]
         same = sorted_pages[1:] == sorted_pages[:-1]
         prev[order[1:][same]] = order[:-1][same]
+        del order, sorted_pages, same  # not held through the left ranks
     cold = prev < 0
     ccold = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(cold, out=ccold[1:])
@@ -456,36 +456,29 @@ def _stack_distances(
     depth[near] = seg_start[near] + ranks[near] - prev[near] - 1
     far = ~near & ~cold
     if np.any(far):
-        # Live-position snapshot tables, all segments at once.  A
-        # position q is *live* at boundary c·S when its page is not
-        # re-accessed before the boundary: q's liveness run spans
-        # boundaries (q // S)+1 .. min(nxt[q] // S, last).  depth for
-        # a far access then counts live positions > p at its boundary
-        # (distinct pages last touched after p) plus W(t), whose
-        # below-boundary candidates (prev < T, including cold) all
-        # have prev <= p counted consistently by construction.
-        nxt = np.full(n, n, dtype=np.int64)
-        warm_idx = np.nonzero(~cold)[0]
-        nxt[prev[warm_idx]] = warm_idx
-        n_segments = -(-n // _LR_SEGMENT)
-        first = t // _LR_SEGMENT + 1
-        last = np.minimum(nxt // _LR_SEGMENT, n_segments - 1)
-        runs = np.maximum(last - first + 1, 0)
-        live_pos = np.repeat(t, runs)
-        run_base = np.repeat(np.cumsum(runs) - runs, runs)
-        offsets = np.arange(live_pos.shape[0], dtype=np.int64) - run_base
-        keys = (np.repeat(first, runs) + offsets) * n + live_pos
-        keys.sort()
-        starts = np.searchsorted(
-            keys, np.arange(n_segments, dtype=np.int64) * n, side="left"
-        )
-        sizes = np.diff(np.append(starts, keys.shape[0]))
-        qseg = t[far] // _LR_SEGMENT
-        at_most_p = (
-            np.searchsorted(keys, qseg * n + prev[far], side="right")
-            - starts[qseg]
-        )
-        depth[far] = sizes[qseg] - at_most_p + ranks[far]
+        # One last-position table walks the boundaries.  Before
+        # boundary c·S it takes each page's final position in segment
+        # c−1, the one no near access points back to (one write per
+        # page: fancy assignment leaves repeated indices unordered).
+        # Its sorted live entries are the LRU stack, holding prev[t].
+        final = np.ones(n, dtype=bool)
+        final[prev[near]] = False
+        final_pos = np.nonzero(final)[0]
+        far_pos = np.nonzero(far)[0]
+        cuts = np.arange(0, n + _LR_SEGMENT, _LR_SEGMENT)
+        final_cut = np.searchsorted(final_pos, cuts)
+        far_cut = np.searchsorted(far_pos, cuts)
+        last = np.full(int(pages.max()) + 1, -1, dtype=np.int64)
+        for c in range(1, cuts.shape[0] - 1):
+            ends = final_pos[final_cut[c - 1] : final_cut[c]]
+            last[pages[ends]] = ends
+            queries = far_pos[far_cut[c] : far_cut[c + 1]]
+            if queries.size:
+                stack = np.sort(last[last >= 0])
+                after_p = stack.shape[0] - np.searchsorted(
+                    stack, prev[queries], side="right"
+                )
+                depth[queries] = after_p + ranks[queries]
     return cold, depth, ccold
 
 
@@ -543,7 +536,7 @@ def _account_capacity(
     batch_queries = warmed + batch_size * np.arange(
         n_batches + 1, dtype=np.int64
     )
-    access_bounds = np.searchsorted(stream.q_of_page, batch_queries, "left")
+    access_bounds = stream.page_indptr[batch_queries]
     lo, hi = access_bounds[0], access_bounds[-1]
     rel = access_bounds - lo
 

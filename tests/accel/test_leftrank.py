@@ -1,10 +1,10 @@
-"""``segmented_left_rank`` and ``prefix_rank``: oracles and contracts.
+"""``segmented_left_rank``: brute-force oracle and contracts.
 
-Both kernels back the offline LRU stack-distance engine
-(:mod:`repro.simulation.stackdist`): ``prefix_rank`` is the global
-dominance oracle, ``segmented_left_rank`` the per-segment fast path.
-Each must match a brute-force count exactly on every input — ranks
-feed miss counts, so an off-by-one anywhere corrupts a simulation.
+The kernel backs the offline LRU stack-distance engine
+(:mod:`repro.simulation.stackdist`), whose own oracle is a brute-force
+LRU stack in ``tests/simulation/test_stackdist.py``.  The kernel must
+match a brute-force count exactly on every input — ranks feed miss
+counts, so an off-by-one anywhere corrupts a simulation.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.accel import SortedRangeCounter, segmented_left_rank
+from repro.accel import segmented_left_rank
 from repro.geometry import GeometryError
 
 
@@ -85,47 +85,3 @@ class TestSegmentedLeftRank:
     def test_rejects_bad_inputs(self, values, segment, kwargs):
         with pytest.raises(GeometryError):
             segmented_left_rank(values, segment, **kwargs)
-
-
-class TestPrefixRank:
-    @settings(max_examples=60)
-    @given(
-        st.lists(
-            st.tuples(
-                st.integers(min_value=-20, max_value=20),
-                st.integers(min_value=-20, max_value=20),
-            ),
-            min_size=1,
-            max_size=60,
-        ),
-        st.booleans(),
-    )
-    def test_matches_brute_force(self, pts, strict):
-        points = np.asarray(pts, dtype=np.float64)
-        counter = SortedRangeCounter(points)
-        ys = points[np.argsort(points[:, 0], kind="stable"), 1]
-        n = points.shape[0]
-        k = np.arange(n + 1, dtype=np.int64)
-        y = np.linspace(-25, 25, n + 1)
-        got = counter.prefix_rank(k, y, strict=strict)
-        for i in range(n + 1):
-            head = ys[: k[i]]
-            want = np.sum(head < y[i]) if strict else np.sum(head <= y[i])
-            assert got[i] == want
-
-    def test_rejects_out_of_range_prefix(self):
-        counter = SortedRangeCounter(np.zeros((3, 2)))
-        with pytest.raises(GeometryError):
-            counter.prefix_rank(np.array([4]), np.array([0.0]))
-        with pytest.raises(GeometryError):
-            counter.prefix_rank(np.array([-1]), np.array([0.0]))
-
-    def test_rejects_shape_mismatch(self):
-        counter = SortedRangeCounter(np.zeros((3, 2)))
-        with pytest.raises(GeometryError):
-            counter.prefix_rank(np.array([1, 2]), np.array([0.0]))
-
-    def test_rejects_non_2d_counter(self):
-        counter = SortedRangeCounter(np.zeros((3, 1)))
-        with pytest.raises(GeometryError):
-            counter.prefix_rank(np.array([1]), np.array([0.0]))

@@ -5,12 +5,16 @@ The single-pass Mattson engine's whole contract is that it is an
 level and warm-up mode it must return exactly the per-batch counters,
 batch-means estimates and warm-up lengths the online engine produces
 for each buffer size — and its outputs must not depend on the worker
-thread count.  Monotonicity (more buffer never means more misses on
-the same measurement window) is the inclusion property itself, checked
+thread count.  The distance pass itself is checked against a
+brute-force move-to-front LRU stack, and its memory against the page
+alphabet.  Monotonicity (more buffer never means more misses on the
+same measurement window) is the inclusion property itself, checked
 directly on the stack-distance arrays.
 """
 
 from __future__ import annotations
+
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -27,7 +31,7 @@ from repro.queries import (
     UniformRegionWorkload,
 )
 from repro.simulation import simulate, simulate_sweep, stackdist
-from repro.simulation.stackdist import _stack_distances
+from repro.simulation.stackdist import _LR_SEGMENT, _stack_distances
 from tests.conftest import random_rects
 
 _RECTS = random_rects(np.random.default_rng(11), 800, max_side=0.03)
@@ -241,6 +245,128 @@ class TestDegenerateTrees:
             )
 
 
+def brute_lru(pages: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(cold, depth)`` from a move-to-front LRU stack, one access at
+    a time: ``depth`` is the page's index in the stack (0 for cold)."""
+    stack: list[int] = []
+    cold, depth = [], []
+    for page in pages.tolist():
+        if page in stack:
+            at = stack.index(page)
+            stack.pop(at)
+            cold.append(False)
+            depth.append(at)
+        else:
+            cold.append(True)
+            depth.append(0)
+        stack.insert(0, page)
+    return np.array(cold, dtype=bool), np.array(depth, dtype=np.int64)
+
+
+def assert_distances_match_brute_force(pages: np.ndarray) -> None:
+    cold, depth, ccold = _stack_distances(pages)
+    want_cold, want_depth = brute_lru(pages)
+    assert np.array_equal(cold, want_cold)
+    assert np.array_equal(depth[~cold], want_depth[~want_cold])
+    assert ccold[0] == 0
+    assert np.array_equal(ccold[1:], np.cumsum(want_cold))
+
+
+def _idle_page(rng: np.random.Generator) -> np.ndarray:
+    # Page 0 at position 5, idle for three whole segments, then back.
+    pages = rng.integers(1, 40, size=5 * _LR_SEGMENT)
+    pages[5] = pages[4 * _LR_SEGMENT + 7] = 0
+    return pages
+
+
+def _fresh_segment(rng: np.random.Generator) -> np.ndarray:
+    # Segment 1 touches only new pages, so the walk asks nothing at its
+    # start; segment 0's positions must still reach segment 2's stack.
+    old = rng.integers(0, 50, size=_LR_SEGMENT)
+    fresh = np.arange(100, 100 + _LR_SEGMENT)
+    mixed = rng.integers(0, 100 + _LR_SEGMENT, size=2 * _LR_SEGMENT)
+    return np.concatenate([old, fresh, mixed])
+
+
+def _first_and_last(rng: np.random.Generator) -> np.ndarray:
+    pages = rng.integers(1, 300, size=4 * _LR_SEGMENT)
+    pages[0] = pages[-1] = 0
+    return pages
+
+
+class TestDistancesAgainstBruteForce:
+    @settings(
+        max_examples=60,
+        deadline=None,
+        suppress_health_check=[HealthCheck.too_slow],
+    )
+    @given(
+        st.integers(min_value=0, max_value=2**32 - 1),
+        st.integers(min_value=0, max_value=5),
+        st.integers(min_value=0, max_value=_LR_SEGMENT - 1),
+        st.integers(min_value=1, max_value=1000),
+    )
+    def test_matches_move_to_front_stack(
+        self, seed, segments, extra, alphabet
+    ):
+        # Large alphabets over several segments make most reuses cross
+        # a segment boundary (far accesses); small ones keep them near.
+        pages = np.random.default_rng(seed).integers(
+            0, alphabet, size=segments * _LR_SEGMENT + extra
+        )
+        assert_distances_match_brute_force(pages)
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            *[
+                lambda rng, n=n: rng.integers(0, 150, size=n)
+                for n in (0, 1, 511, 512, 513, 4 * 512)
+            ],
+            lambda rng: np.full(3 * _LR_SEGMENT + 9, 7),
+            _first_and_last,
+            _idle_page,
+            _fresh_segment,
+        ],
+        ids=[
+            "n0", "n1", "n511", "n512", "n513", "n2048",
+            "single-page", "first-and-last", "idle-for-segments",
+            "segment-without-far-access",
+        ],
+    )
+    def test_fixed_streams(self, make):
+        pages = np.asarray(make(np.random.default_rng(4)), dtype=np.int64)
+        assert_distances_match_brute_force(pages)
+
+
+def _traced_peak(pages: np.ndarray) -> int:
+    """Bytes ``_stack_distances(pages)`` holds at its peak."""
+    owner = not tracemalloc.is_tracing()
+    if owner:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        _stack_distances(pages)
+        return tracemalloc.get_traced_memory()[1] - before
+    finally:
+        if owner:
+            tracemalloc.stop()
+
+
+class TestBoundedMemory:
+    def test_peak_does_not_grow_with_the_alphabet(self):
+        # The far accesses read the LRU stack at each segment boundary;
+        # holding it for every boundary at once would grow with the
+        # number of pages live there, i.e. with the alphabet.
+        rng = np.random.default_rng(21)
+        small, large = (
+            _traced_peak(rng.integers(0, alphabet, size=200_000))
+            for alphabet in (500, 5_000)
+        )
+        assert large <= 1.25 * small
+
+
 class TestInclusionProperty:
     @settings(
         max_examples=30, suppress_health_check=[HealthCheck.too_slow]
@@ -306,11 +432,13 @@ class TestObservability:
         (root,) = by_name["simulate.sweep"]
         assert root.attrs["mode"] == "stackdist"
         assert root.attrs["capacities"] == 3
+        # The span is the sweep's one timing channel.
+        assert root.duration_ns > 0
         assert len(by_name["stackdist.capacity"]) == 3
         assert by_name["stackdist.stream"][0].attrs["queries"] > 0
         metrics = registry.to_dict()
         assert metrics["gauges"]["sweep.capacities"] == 3
-        assert metrics["timers"]["simulate.sweep"]["count"] == 1
+        assert metrics["timers"] == {}
 
     @pytest.mark.parametrize(
         "kwargs",
