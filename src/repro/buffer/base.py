@@ -191,9 +191,19 @@ class BufferPool(ABC):
         missed and the number of evictions."""
 
     def request(self, page: PageId) -> bool:
-        """Access ``page``; returns True on a buffer hit (a one-page
-        :meth:`request_batch`)."""
-        return not self.request_batch((page,))
+        """Access ``page``; returns True on a buffer hit.
+
+        The one-page :meth:`request_batch`: a pinned page is read from
+        the same pin table, by a Python index clipped to its last slot,
+        and counted as a hit without building an array.
+        """
+        if self.pinned:
+            if page < 0:
+                raise ValueError("page ids must be non-negative ints")
+            if self._pin_table[min(page, len(self._pin_table) - 1)]:
+                self._request_unpinned([], 1)
+                return True
+        return not self._request_unpinned([page], 0)
 
     def resident_pages(self) -> list[PageId]:
         """Resident unpinned pages in the policy's own order (LRU:

@@ -24,7 +24,8 @@ import numpy as np
 
 from ..geometry import GeometryError, RectArray
 from ..obs.spans import span
-from ..rtree import Entry, Node, RTree, TreeDescription
+from ..rtree import Node, RTree, TreeDescription
+from ..rtree.node import array_rows, mbr_array
 from .orderings import ORDERINGS, Ordering
 
 __all__ = ["pack_description", "pack_tree", "resolve_ordering"]
@@ -53,6 +54,12 @@ def _group_mbrs(rects: RectArray, capacity: int) -> RectArray:
     lo = np.minimum.reduceat(rects.lo, boundaries, axis=0)
     hi = np.maximum.reduceat(rects.hi, boundaries, axis=0)
     return RectArray(lo, hi)
+
+
+def _groups(perm: np.ndarray, capacity: int) -> list[list[int]]:
+    """Consecutive groups of ``capacity`` indices of ``perm``."""
+    order = perm.tolist()
+    return [order[i : i + capacity] for i in range(0, len(order), capacity)]
 
 
 def pack_description(
@@ -125,36 +132,24 @@ def pack_tree(
         capacity=capacity,
         n_rects=len(data),
     ):
-        perm = order_fn(data, capacity)
-        nodes: list[Node] = []
-        for start in range(0, len(data), capacity):
-            group = perm[start : start + capacity]
-            entries = [
-                Entry(
-                    data.rect(int(i)),
-                    item=(items[int(i)] if items is not None else int(i)),
-                )
-                for i in group
+        # Each level groups the entries below it in the ordering's
+        # order, leaves first; a node's rectangles are the rows of its
+        # group.
+        level = data
+        refs: list[Any] = list(items) if items is not None else list(range(len(data)))
+        height = 0
+        while height == 0 or len(refs) > 1:
+            perm = order_fn(level, capacity)
+            rows, areas = array_rows(level)
+            refs = [
+                Node(height == 0, rows[g].T.copy(), areas[g], [refs[i] for i in g])
+                for g in _groups(perm, capacity)
             ]
-            nodes.append(Node(is_leaf=True, entries=entries))
-        height = 1
-
-        while len(nodes) > 1:
-            mbrs = RectArray.from_rects(node.mbr() for node in nodes)
-            perm = order_fn(mbrs, capacity)
-            parents: list[Node] = []
-            for start in range(0, len(nodes), capacity):
-                group = perm[start : start + capacity]
-                entries = [
-                    Entry(mbrs.rect(int(i)), child=nodes[int(i)])
-                    for i in group
-                ]
-                parents.append(Node(is_leaf=False, entries=entries))
-            nodes = parents
+            level = mbr_array(refs)
             height += 1
 
         return RTree._from_prebuilt(
-            root=nodes[0],
+            root=refs[0],
             height=height,
             size=len(data),
             max_entries=capacity,

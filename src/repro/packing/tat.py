@@ -32,19 +32,19 @@ def tat_tree(
     """Load a tree by repeated insertion (Guttman).
 
     ``items[i]`` defaults to the input index ``i``, matching the packed
-    loaders.
+    loaders.  The insertions read rows of the data's arrays
+    (:meth:`RTree.insert_many`); the tree is the one that one
+    :meth:`RTree.insert` per rectangle builds.
     """
-    rects = list(data)
-    if not rects:
+    if len(data) == 0:
         raise GeometryError("cannot load an empty data set")
-    if items is not None and len(items) != len(rects):
+    if items is not None and len(items) != len(data):
         raise ValueError("items must align one-to-one with data rectangles")
-    with span("packing.tat_build", capacity=capacity, n_rects=len(rects)):
+    with span("packing.tat_build", capacity=capacity, n_rects=len(data)):
         tree = RTree(
             max_entries=capacity, min_entries=min_entries, split=split
         )
-        for i, rect in enumerate(rects):
-            tree.insert(rect, items[i] if items is not None else i)
+        tree.insert_many(data, items)
     return tree
 
 

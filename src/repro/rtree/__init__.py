@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from .node import Entry, Node
+from .node import Node
 from .split import SPLIT_FUNCTIONS, greene_split, linear_split, quadratic_split
 from .stats import TreeDescription
 from .tree import QueryResult, RTree
@@ -10,7 +10,6 @@ from .rstar import RStarTree, rstar_split
 from .validate import InvariantViolation, check_tree
 
 __all__ = [
-    "Entry",
     "InvariantViolation",
     "Node",
     "QueryResult",

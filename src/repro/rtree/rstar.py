@@ -27,9 +27,11 @@ from __future__ import annotations
 import math
 from typing import Any, Sequence
 
-from ..geometry import Rect
+import numpy as np
+
+from ..geometry import GeometryError, Rect, RectArray
 from ..obs.spans import span
-from .node import Entry, Node
+from .node import Node, product, row_area, row_corners
 from .split import SPLIT_FUNCTIONS, _validate_split_input
 from .tree import RTree
 
@@ -38,34 +40,42 @@ __all__ = ["RStarTree", "rstar_split", "rstar_tree"]
 DEFAULT_REINSERT_FRACTION = 0.3
 """p = 30% of M+1 entries are reinserted on first overflow (R* paper)."""
 
+_Entry = tuple[np.ndarray, float, Any]
+"""An entry in flight: its row ``[hi; -lo]``, its area, its item or
+child."""
+
 
 # ----------------------------------------------------------------------
 # The R* split (usable as a plain split function too)
 # ----------------------------------------------------------------------
 def rstar_split(
-    entries: Sequence[Entry], min_fill: int
+    lo: np.ndarray, hi: np.ndarray, min_fill: int
 ) -> tuple[list[int], list[int]]:
-    """Topological R* split: margin-minimal axis, overlap-minimal cut."""
-    _validate_split_input(entries, min_fill)
-    rects = [e.rect for e in entries]
-    total = len(rects)
-    dim = rects[0].dim
+    """Topological R* split: margin-minimal axis, overlap-minimal cut.
+
+    Every margin, overlap and area is the float the scalar loop over
+    :class:`Rect` prefix and suffix unions computed: widths are
+    ``hi - lo``, margins add them left to right, areas multiply them
+    left to right, and the sums run in distribution order.
+    """
+    _validate_split_input(lo, hi, min_fill)
+    total = lo.shape[1]
     # Group-1 sizes run from min_fill to total - min_fill, so there are
     # total - 2*min_fill + 1 distributions per sort order (the R* paper
     # counts M - 2m + 2 with total = M + 1 entries).
     n_dist = total - 2 * min_fill + 1
+    first = slice(min_fill - 1, min_fill - 1 + n_dist)
+    second = slice(min_fill, min_fill + n_dist)
 
     best_axis = 0
     best_margin_sum = math.inf
-    for axis in range(dim):
+    for axis in range(len(lo)):
         margin_sum = 0.0
-        for order in _axis_orders(rects, axis):
-            prefix, suffix = _prefix_suffix_mbrs(rects, order)
-            for k in range(n_dist):
-                split_at = min_fill + k
-                margin_sum += (
-                    prefix[split_at - 1].margin + suffix[split_at].margin
-                )
+        for order in _axis_orders(lo, hi, axis):
+            prefix, suffix = _prefix_suffix_mbrs(lo, hi, order)
+            margins = _margins(*prefix)[first] + _margins(*suffix)[second]
+            for margin in margins.tolist():
+                margin_sum += margin
         if margin_sum < best_margin_sum:
             best_margin_sum = margin_sum
             best_axis = axis
@@ -73,45 +83,61 @@ def rstar_split(
     best_groups: tuple[list[int], list[int]] | None = None
     best_overlap = math.inf
     best_area = math.inf
-    for order in _axis_orders(rects, best_axis):
-        prefix, suffix = _prefix_suffix_mbrs(rects, order)
-        for k in range(n_dist):
-            split_at = min_fill + k
-            bb1 = prefix[split_at - 1]
-            bb2 = suffix[split_at]
-            inter = bb1.intersection(bb2)
-            overlap = inter.area if inter is not None else 0.0
-            area = bb1.area + bb2.area
+    for order in _axis_orders(lo, hi, best_axis):
+        (p_lo, p_hi), (s_lo, s_hi) = _prefix_suffix_mbrs(lo, hi, order)
+        p_lo, p_hi = p_lo[:, first], p_hi[:, first]
+        s_lo, s_hi = s_lo[:, second], s_hi[:, second]
+        i_lo = np.maximum(p_lo, s_lo)
+        i_hi = np.minimum(p_hi, s_hi)
+        disjoint = (i_lo > i_hi).any(axis=0)
+        overlaps = np.where(disjoint, 0.0, product(i_hi - i_lo)).tolist()
+        areas = (product(p_hi - p_lo) + product(s_hi - s_lo)).tolist()
+        for k, (overlap, area) in enumerate(zip(overlaps, areas)):
             if overlap < best_overlap or (
                 overlap == best_overlap and area < best_area
             ):
                 best_overlap = overlap
                 best_area = area
+                split_at = min_fill + k
                 best_groups = (order[:split_at], order[split_at:])
     assert best_groups is not None
     return best_groups
 
 
-def _axis_orders(rects: list[Rect], axis: int) -> tuple[list[int], list[int]]:
-    """Index orders sorted by lower and by upper value on ``axis``."""
-    by_lower = sorted(range(len(rects)), key=lambda i: rects[i].lo[axis])
-    by_upper = sorted(range(len(rects)), key=lambda i: rects[i].hi[axis])
-    return by_lower, by_upper
+def _axis_orders(
+    lo: np.ndarray, hi: np.ndarray, axis: int
+) -> tuple[list[int], list[int]]:
+    """Index orders sorted (stably) by lower and by upper value on
+    ``axis``."""
+    return (
+        np.argsort(lo[axis], kind="stable").tolist(),
+        np.argsort(hi[axis], kind="stable").tolist(),
+    )
 
 
 def _prefix_suffix_mbrs(
-    rects: list[Rect], order: list[int]
-) -> tuple[list[Rect], list[Rect]]:
-    """MBRs of every prefix and suffix of ``rects`` in ``order``."""
-    n = len(order)
-    prefix: list[Rect] = [rects[order[0]]]
-    for i in range(1, n):
-        prefix.append(prefix[-1].union(rects[order[i]]))
-    suffix: list[Rect] = [None] * n  # type: ignore[list-item]
-    suffix[n - 1] = rects[order[n - 1]]
-    for i in range(n - 2, -1, -1):
-        suffix[i] = suffix[i + 1].union(rects[order[i]])
+    lo: np.ndarray, hi: np.ndarray, order: list[int]
+) -> tuple[tuple[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]]:
+    """``(lo, hi)`` of the MBRs of every prefix and every suffix of the
+    entries in ``order``; column ``i`` covers ``order[:i + 1]`` and
+    ``order[i:]`` respectively."""
+    lo, hi = lo[:, order], hi[:, order]
+    prefix = (np.minimum.accumulate(lo, axis=1), np.maximum.accumulate(hi, axis=1))
+    suffix = (
+        np.minimum.accumulate(lo[:, ::-1], axis=1)[:, ::-1],
+        np.maximum.accumulate(hi[:, ::-1], axis=1)[:, ::-1],
+    )
     return prefix, suffix
+
+
+def _margins(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """Each column's :attr:`Rect.margin`: its widths added left to
+    right."""
+    widths = hi - lo
+    margin = widths[0]
+    for axis in range(1, len(widths)):
+        margin = margin + widths[axis]
+    return margin
 
 
 SPLIT_FUNCTIONS["rstar"] = rstar_split
@@ -142,70 +168,65 @@ class RStarTree(RTree):
             self.reinsert_count, max_entries + 1 - self.min_entries
         )
         self._treated_heights: set[int] = set()
-        self._pending: list[tuple[list[Entry], int]] = []
+        self._pending: list[tuple[list[_Entry], int]] = []
 
     # ------------------------------------------------------------------
     # Insertion machinery
     # ------------------------------------------------------------------
-    def _insert_entry(self, entry: Entry, target_depth: int) -> None:
-        """One data-rectangle insertion, including forced reinserts.
+    def _insert_rows(
+        self, rows: np.ndarray, areas: list[float], refs: list[Any], level: int = 0
+    ) -> None:
+        """One R* insertion per row, each with its forced reinserts.
 
         ``_treated_heights`` tracks node heights (1 = leaf) where
-        OverflowTreatment already ran during this operation, as the R*
+        OverflowTreatment already ran during one insertion, as the R*
         paper prescribes; heights are stable across the root splits
         that may happen mid-operation, unlike depths.
         """
-        self._treated_heights = set()
-        self._pending = []
-        self._do_insert(entry, target_depth)
-        while self._pending:
-            batch, subtree_height = self._pending.pop(0)
-            for pending_entry in batch:
-                depth = self._height - 1 - subtree_height
-                if depth < 0:
+        for entry in zip(rows, areas, refs):
+            self._treated_heights = set()
+            self._pending = []
+            self._do_insert(entry, level)
+            while self._pending:
+                batch, subtree_height = self._pending.pop(0)
+                for pending_entry in batch:
                     # The tree shrank below the entry's level (cannot
                     # happen on pure inserts; guards future use).
-                    depth = self._height - 1
-                self._do_insert(pending_entry, depth)
+                    too_high = subtree_height > self._height - 1
+                    self._do_insert(pending_entry, 0 if too_high else subtree_height)
 
-    def _do_insert(self, entry: Entry, target_depth: int) -> None:
+    def _do_insert(self, entry: _Entry, level: int) -> None:
         # Subtree height of the entry being placed: 0 for data entries,
         # more for internal entries reinserted mid-operation.  Node
         # heights during this descent are derived from it.
-        self._entry_height = self._height - 1 - target_depth
-        sibling, _ = self._insert_rec(self._root, entry, target_depth)
+        self._entry_height = level
+        sibling, _ = self._insert_rec(self._root, entry, self._height - 1 - level)
         if sibling is not None:
-            old_root = self._root
-            self._root = Node(
-                is_leaf=False,
-                entries=[
-                    Entry(old_root.mbr(), child=old_root),
-                    Entry(sibling.mbr(), child=sibling),
-                ],
-            )
-            self._height += 1
+            self._grow_root(sibling)
 
     def _insert_rec(
-        self, node: Node, entry: Entry, depth: int
+        self, node: Node, entry: _Entry, depth: int
     ) -> tuple[Node | None, bool]:
         """Returns (split sibling, whether a forced reinsert shrank the
         subtree) — the latter forces exact MBR recomputation upward."""
+        row = entry[0]
         if depth == 0:
-            node.append(entry)
-            if len(node.entries) > self.max_entries:
+            node.append(*entry)
+            if len(node.refs) > self.max_entries:
                 return self._overflow_treatment(node, depth)
             return None, False
 
-        i = self._choose_subtree_rstar(node, entry.rect, depth)
-        child = node.entries[i].child
+        i = self._choose_subtree_rstar(node, row, depth)
+        child = node.refs[i]
         sibling, shrank = self._insert_rec(child, entry, depth - 1)
         if shrank or sibling is not None:
-            node.set_rect(i, child.mbr())
+            node.set_cover(i, child.mbr_row())
         else:
-            node.enlarge(i, entry.rect)
+            node.enlarge(i, row)
         if sibling is not None:
-            node.append(Entry(sibling.mbr(), child=sibling))
-            if len(node.entries) > self.max_entries:
+            cover = sibling.mbr_row()
+            node.append(cover, row_area(cover), sibling)
+            if len(node.refs) > self.max_entries:
                 own_sibling, own_shrank = self._overflow_treatment(node, depth)
                 return own_sibling, shrank or own_shrank
         return None, shrank
@@ -225,46 +246,50 @@ class RStarTree(RTree):
             removed = self._pick_reinsert_victims(node)
             self._pending.append((removed, height - 1))
             return None, True
-        return self._split_node(node), False
+        return self._split_if_full(node), False
 
     def _node_height(self, depth_remaining: int) -> int:
         """Height (1 = leaf) of the node ``depth_remaining`` levels
         above the target level of the entry being inserted."""
         return self._entry_height + 1 + depth_remaining
 
-    def _pick_reinsert_victims(self, node: Node) -> list[Entry]:
+    def _pick_reinsert_victims(self, node: Node) -> list[_Entry]:
         """Remove the entries furthest from the node centre.
 
         Returns them sorted closest-first ("close reinsert"), the
         variant the R* paper found best.
         """
-        center = node.mbr().center
+        center = _center(*row_corners(node.mbr_row()))
+        lo, hi = node.corners()
+        distances = [
+            _distance2(_center(*corners), center)
+            for corners in zip(lo.T.tolist(), hi.T.tolist())
+        ]
         ranked = sorted(
-            range(len(node.entries)),
-            key=lambda i: _center_distance2(node.entries[i].rect, center),
-            reverse=True,
+            range(len(distances)), key=lambda i: distances[i], reverse=True
         )
         victims = sorted(ranked[: self.reinsert_count], reverse=True)
-        removed = [node.pop(i) for i in victims]
-        removed.sort(key=lambda e: _center_distance2(e.rect, center))
-        return removed
+        removed = [(node.pop(i), distances[i]) for i in victims]
+        removed.sort(key=lambda pair: pair[1])
+        return [entry for entry, _ in removed]
 
     # ------------------------------------------------------------------
     # ChooseSubtree
     # ------------------------------------------------------------------
-    def _choose_subtree_rstar(self, node: Node, rect: Rect, depth: int) -> int:
+    def _choose_subtree_rstar(self, node: Node, row: np.ndarray, depth: int) -> int:
         if depth == 1:
             # Children are leaves: minimise overlap enlargement.
-            return self._least_overlap_enlargement(node, rect)
-        return self._choose_subtree(node, rect)  # Guttman criterion
+            return self._least_overlap_enlargement(node, row)
+        slots, _ = self._choose_subtrees(node, row[None])  # Guttman criterion
+        return slots[0]
 
-    def _least_overlap_enlargement(self, node: Node, rect: Rect) -> int:
+    def _least_overlap_enlargement(self, node: Node, row: np.ndarray) -> int:
         # O(n^2) per insert and the hottest R* path: work on raw corner
-        # tuples, as the Guttman hot paths do.
-        entries = node.entries
-        los = [e.rect.lo for e in entries]
-        his = [e.rect.hi for e in entries]
-        r_lo, r_hi = rect.lo, rect.hi
+        # tuples, as a scalar loop does.
+        lo, hi = node.corners()
+        los = lo.T.tolist()
+        his = hi.T.tolist()
+        r_lo, r_hi = row_corners(row)
 
         # Shortcut: an entry that already contains the rectangle has
         # zero overlap delta and zero enlargement — the minimum
@@ -272,7 +297,7 @@ class RStarTree(RTree):
         # entries, and the quadratic scan can be skipped entirely.
         containing: int | None = None
         containing_area = math.inf
-        for i in range(len(entries)):
+        for i in range(len(los)):
             if all(
                 a <= c and d <= b
                 for a, b, c, d in zip(los[i], his[i], r_lo, r_hi)
@@ -286,14 +311,14 @@ class RStarTree(RTree):
 
         best: int | None = None
         best_key: tuple[float, float, float] | None = None
-        for i in range(len(entries)):
+        for i in range(len(los)):
             e_lo, e_hi = los[i], his[i]
             u_lo = tuple(min(a, c) for a, c in zip(e_lo, r_lo))
             u_hi = tuple(max(b, d) for b, d in zip(e_hi, r_hi))
             area = _area_of(e_lo, e_hi)
             enlarged_area = _area_of(u_lo, u_hi)
             overlap_delta = 0.0
-            for j in range(len(entries)):
+            for j in range(len(los)):
                 if j == i:
                     continue
                 o_lo, o_hi = los[j], his[j]
@@ -308,8 +333,13 @@ class RStarTree(RTree):
         return best
 
 
-def _center_distance2(rect: Rect, center: tuple[float, ...]) -> float:
-    return sum((a - b) ** 2 for a, b in zip(rect.center, center))
+def _center(lo: Sequence[float], hi: Sequence[float]) -> tuple[float, ...]:
+    """:attr:`Rect.center` of the rectangle with corners ``lo``, ``hi``."""
+    return tuple((a + b) / 2.0 for a, b in zip(lo, hi))
+
+
+def _distance2(a: tuple[float, ...], b: tuple[float, ...]) -> float:
+    return sum((x - y) ** 2 for x, y in zip(a, b))
 
 
 def _area_of(lo: tuple[float, ...], hi: tuple[float, ...]) -> float:
@@ -335,19 +365,17 @@ def _intersection_area(
 
 
 def rstar_tree(
-    data,
+    data: RectArray | Sequence[Rect],
     capacity: int,
     items: Sequence[Any] | None = None,
     min_entries: int | None = None,
 ) -> RStarTree:
     """Load an R*-tree one tuple at a time (the R* analogue of TAT)."""
-    rects = list(data)
-    if not rects:
-        raise ValueError("cannot load an empty data set")
-    if items is not None and len(items) != len(rects):
+    if len(data) == 0:
+        raise GeometryError("cannot load an empty data set")
+    if items is not None and len(items) != len(data):
         raise ValueError("items must align one-to-one with data rectangles")
-    with span("rtree.rstar_build", capacity=capacity, n_rects=len(rects)):
+    with span("rtree.rstar_build", capacity=capacity, n_rects=len(data)):
         tree = RStarTree(max_entries=capacity, min_entries=min_entries)
-        for i, rect in enumerate(rects):
-            tree.insert(rect, items[i] if items is not None else i)
+        tree.insert_many(data, items)
     return tree

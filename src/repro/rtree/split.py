@@ -7,19 +7,21 @@ policies — one of the stated applications of the model ("the model can
 be used to evaluate the quality of any R-tree update operation, such as
 node splitting policies").
 
-A split function receives the overflowing list of entries (``max + 1``
-of them) and the minimum fill ``m`` and returns two disjoint index
-groups, each of size at least ``m``, covering all entries.
+A split function receives the overflowing node's rectangles as two
+``(d, n)`` float64 arrays ``lo`` and ``hi``, one row per axis and one
+column per entry (``max + 1`` of them), and the minimum fill ``m``; it
+returns two disjoint index groups, each of size at least ``m``,
+covering all entries (:data:`SplitFunction`).  It must not change its
+arrays.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
-from ..geometry import Rect
-from .node import Entry
+from .node import product, row_area
 
 __all__ = [
     "SplitFunction",
@@ -27,25 +29,25 @@ __all__ = [
     "linear_split",
     "quadratic_split",
     "SPLIT_FUNCTIONS",
-    "union_areas",
 ]
 
-SplitFunction = Callable[[Sequence[Entry], int], tuple[list[int], list[int]]]
+SplitFunction = Callable[[np.ndarray, np.ndarray, int], tuple[list[int], list[int]]]
+"""``split(lo, hi, min_fill) -> (group_a, group_b)``; see the module
+docstring."""
 
 
-def _validate_split_input(entries: Sequence[Entry], min_fill: int) -> None:
-    if len(entries) < 2:
+def _validate_split_input(lo: np.ndarray, hi: np.ndarray, min_fill: int) -> None:
+    n = lo.shape[1]
+    if n < 2:
         raise ValueError("cannot split fewer than two entries")
     if min_fill < 1:
         raise ValueError("min_fill must be at least 1")
-    if 2 * min_fill > len(entries):
-        raise ValueError(
-            f"min_fill {min_fill} too large for {len(entries)} entries"
-        )
+    if 2 * min_fill > n:
+        raise ValueError(f"min_fill {min_fill} too large for {n} entries")
 
 
 def quadratic_split(
-    entries: Sequence[Entry], min_fill: int
+    lo: np.ndarray, hi: np.ndarray, min_fill: int
 ) -> tuple[list[int], list[int]]:
     """Guttman's quadratic split.
 
@@ -57,32 +59,29 @@ def quadratic_split(
     all remaining entries to reach ``min_fill``, they are assigned
     wholesale.
 
-    Both steps run on numpy arrays of the corners, one row per axis.
-    Each area is the product of the per-axis widths taken left to right
-    and each waste is ``(union - area_i) - area_j``, so every area,
-    waste and enlargement equals the one a scalar loop over the entries
-    computes.  Ties go to the first pair in row-major order and to the
-    first remaining entry in input order, which makes the groups
-    identical to the scalar loop's, not merely as good.  This needs
-    finite coordinates, which :class:`~repro.geometry.Rect` guarantees:
-    an infinite one would put ``inf - inf = NaN`` into the areas, which
-    ``argmax`` picks and a ``>`` scan never does.
+    Both steps run on the entries as rows ``[hi; -lo]`` (see
+    :mod:`repro.rtree.node`).  Each area is the product of the per-axis
+    widths taken left to right and each waste is ``(union - area_i) -
+    area_j``, so every area, waste and enlargement equals the one a
+    scalar loop over the entries computes.  Ties go to the first pair
+    in row-major order and to the first remaining entry in input order,
+    which makes the groups identical to the scalar loop's, not merely
+    as good.  This needs finite areas, which the tree guarantees (see
+    :meth:`~repro.rtree.RTree.insert`): an infinite one would put ``inf
+    - inf = NaN`` into the wastes, which ``argmax`` picks and a ``>``
+    scan never does.
     """
-    _validate_split_input(entries, min_fill)
-    n = len(entries)
-    rects = [e.rect for e in entries]
-    # Transposed corners, (d, n): one contiguous row per axis.
-    los = np.array([r.lo for r in rects]).T.copy()
-    his = np.array([r.hi for r in rects]).T.copy()
-    areas = _product(his - los)
+    _validate_split_input(lo, hi, min_fill)
+    d, n = lo.shape
+    block = np.concatenate([hi, -lo])
+    areas = product(hi - lo)
 
     # PickSeeds: maximise d = area(J) - area(E1) - area(E2) over the
     # pairs i < j.  waste[i, j] is computed for every pair at once; the
     # pairs j <= i are masked, and argmax over the flattened matrix
     # returns the first maximum in row-major order.
-    widths = np.maximum(his[:, :, None], his[:, None, :])
-    widths -= np.minimum(los[:, :, None], los[:, None, :])
-    waste = _product(widths)
+    union = np.maximum(block[:, :, None], block[:, None, :])
+    waste = product(union[:d] + union[d:])
     waste -= areas[:, None]
     waste -= areas
     waste[np.tri(n, dtype=bool)] = -np.inf
@@ -90,12 +89,12 @@ def quadratic_split(
 
     group_a = [seed_a]
     group_b = [seed_b]
-    cover_a, cover_b = rects[seed_a], rects[seed_b]
-    area_a, area_b = cover_a.area, cover_b.area
+    cover_a, cover_b = block[:, seed_a], block[:, seed_b]
+    area_a, area_b = areas[seed_a], areas[seed_b]
     # Enlargement of each group's cover by every entry, and PickNext's
     # |d1 - d2| with assigned entries masked below any real difference.
-    d1 = union_areas(los, his, cover_a) - area_a
-    d2 = union_areas(los, his, cover_b) - area_b
+    d1 = _union_areas(block, cover_a) - area_a
+    d2 = _union_areas(block, cover_b) - area_b
     assigned = np.zeros(n, dtype=bool)
     assigned[[seed_a, seed_b]] = True
     diff = np.abs(d1 - d2)
@@ -133,60 +132,90 @@ def quadratic_split(
         # the differences are recomputed.  Containment is tested
         # exactly: a zero enlargement does not show it, since a
         # zero-area cover can grow at zero enlargement.
+        column = block[:, k]
         if choose_a:
             group_a.append(k)
-            if cover_a.contains_rect(rects[k]):
+            if (cover_a >= column).all():
                 continue
-            cover_a = cover_a.union(rects[k])
-            area_a = cover_a.area
-            d1 = union_areas(los, his, cover_a) - area_a
+            cover_a = np.maximum(cover_a, column)
+            area_a = row_area(cover_a)
+            d1 = _union_areas(block, cover_a) - area_a
         else:
             group_b.append(k)
-            if cover_b.contains_rect(rects[k]):
+            if (cover_b >= column).all():
                 continue
-            cover_b = cover_b.union(rects[k])
-            area_b = cover_b.area
-            d2 = union_areas(los, his, cover_b) - area_b
+            cover_b = np.maximum(cover_b, column)
+            area_b = row_area(cover_b)
+            d2 = _union_areas(block, cover_b) - area_b
         diff = np.abs(d1 - d2)
         diff[assigned] = -1.0
 
     return group_a, group_b
 
 
-def _product(widths: np.ndarray) -> np.ndarray:
-    """Product over axis 0, multiplied left to right.
+def _union_areas(block: np.ndarray, row: np.ndarray) -> np.ndarray:
+    """Area of each rectangle, a column ``[hi; -lo]`` of ``block``,
+    united with the rectangle ``row``.
 
-    ``np.prod`` may reorder (pairwise or vectorised) the multiplications;
-    this keeps the order of ``1.0 * w_0 * w_1 * ...``.
+    The union's width on each axis is ``max(hi, r_hi) + max(-lo,
+    -r_lo)``, which is ``max(hi, r_hi) - min(lo, r_lo)``, and the
+    widths are multiplied left to right, as :attr:`Rect.area` does, so
+    every area is the float a scalar loop over the rectangles computes.
     """
-    result = widths[0]
-    for axis in range(1, len(widths)):
-        result = result * widths[axis]
-    return result
+    d = len(block) // 2
+    union = np.maximum(block, row[:, None])
+    return product(union[:d] + union[d:])
 
 
-def union_areas(los: np.ndarray, his: np.ndarray, box: Rect) -> np.ndarray:
-    """Area of each rectangle, a column of ``los``/``his``, united with
-    ``box``.
+_Corners = tuple[tuple[float, ...], tuple[float, ...]]
+"""A rectangle's ``(lo, hi)`` corner tuples."""
 
-    The union's width on each axis is ``max(hi, box.hi) - min(lo,
-    box.lo)`` and the widths are multiplied left to right, as
-    :attr:`Rect.area` does, so every area is the float a scalar loop
-    over the rectangles computes.
-    """
-    result = None
-    for row_lo, row_hi, a, b in zip(los, his, box.lo, box.hi):
-        width = np.maximum(row_hi, b)
-        width -= np.minimum(row_lo, a)
-        if result is None:
-            result = width
-        else:
-            result *= width
-    return result
+
+def _corners(lo: np.ndarray, hi: np.ndarray) -> list[_Corners]:
+    """Each entry's corner tuples, for the scalar splits."""
+    return list(zip(map(tuple, lo.T.tolist()), map(tuple, hi.T.tolist())))
+
+
+def _area(rect: _Corners) -> float:
+    area = 1.0
+    for a, b in zip(*rect):
+        area *= b - a
+    return area
+
+
+def _union(r: _Corners, s: _Corners) -> _Corners:
+    return tuple(map(min, r[0], s[0])), tuple(map(max, r[1], s[1]))
+
+
+def _best_separated_axis(
+    lo: np.ndarray, hi: np.ndarray
+) -> tuple[int, int, int] | None:
+    """Guttman's *LinearPickSeeds*: on each axis, the entry with the
+    highest low side and the one with the lowest high side, their
+    separation normalised by the axis' width; returns the axis with the
+    greatest normalised separation and that pair (lowest high side
+    first), or None when every axis' pair is one entry."""
+    n = lo.shape[1]
+    best_norm = -float("inf")
+    best = None
+    for axis in range(len(lo)):
+        lows = lo[axis].tolist()
+        highs = hi[axis].tolist()
+        width = max(highs) - min(lows)
+        i_high_low = max(range(n), key=lambda k: lows[k])
+        i_low_high = min(range(n), key=lambda k: highs[k])
+        if i_high_low == i_low_high:
+            continue
+        separation = lows[i_high_low] - highs[i_low_high]
+        norm = separation / width if width > 0 else separation
+        if norm > best_norm:
+            best_norm = norm
+            best = (axis, i_low_high, i_high_low)
+    return best
 
 
 def linear_split(
-    entries: Sequence[Entry], min_fill: int
+    lo: np.ndarray, hi: np.ndarray, min_fill: int
 ) -> tuple[list[int], list[int]]:
     """Guttman's linear split.
 
@@ -196,28 +225,11 @@ def linear_split(
     assigned in arbitrary (input) order to the group whose cover grows
     the least, with the same min-fill guarantee as the quadratic split.
     """
-    _validate_split_input(entries, min_fill)
-    rects = [e.rect for e in entries]
+    _validate_split_input(lo, hi, min_fill)
+    rects = _corners(lo, hi)
     n = len(rects)
-    dim = rects[0].dim
-
-    best_norm = -float("inf")
-    seed_a, seed_b = 0, 1
-    for axis in range(dim):
-        lows = [r.lo[axis] for r in rects]
-        highs = [r.hi[axis] for r in rects]
-        width = max(highs) - min(lows)
-        # Entry with the highest low side and entry with the lowest
-        # high side form the most separated pair on this axis.
-        i_high_low = max(range(n), key=lambda k: lows[k])
-        i_low_high = min(range(n), key=lambda k: highs[k])
-        if i_high_low == i_low_high:
-            continue
-        separation = lows[i_high_low] - highs[i_low_high]
-        norm = separation / width if width > 0 else separation
-        if norm > best_norm:
-            best_norm = norm
-            seed_a, seed_b = i_low_high, i_high_low
+    best = _best_separated_axis(lo, hi)
+    seed_a, seed_b = (0, 1) if best is None else best[1:]
 
     group_a = [seed_a]
     group_b = [seed_b]
@@ -233,20 +245,20 @@ def linear_split(
         if len(group_b) + rest == min_fill:
             group_b.extend(remaining[pos:])
             break
-        d1 = cover_a.union(rects[k]).area - cover_a.area
-        d2 = cover_b.union(rects[k]).area - cover_b.area
+        d1 = _area(_union(cover_a, rects[k])) - _area(cover_a)
+        d2 = _area(_union(cover_b, rects[k])) - _area(cover_b)
         if d1 < d2 or (d1 == d2 and len(group_a) <= len(group_b)):
             group_a.append(k)
-            cover_a = cover_a.union(rects[k])
+            cover_a = _union(cover_a, rects[k])
         else:
             group_b.append(k)
-            cover_b = cover_b.union(rects[k])
+            cover_b = _union(cover_b, rects[k])
 
     return group_a, group_b
 
 
 def greene_split(
-    entries: Sequence[Entry], min_fill: int
+    lo: np.ndarray, hi: np.ndarray, min_fill: int
 ) -> tuple[list[int], list[int]]:
     """Greene's split (ICDE 1989) — the classic third comparator.
 
@@ -257,28 +269,11 @@ def greene_split(
     bigger half when needed (Greene's original splits at the midpoint
     with m = M/2, where no rebalance is ever required).
     """
-    _validate_split_input(entries, min_fill)
-    rects = [e.rect for e in entries]
-    n = len(rects)
-    dim = rects[0].dim
-
-    best_axis = 0
-    best_norm = -float("inf")
-    for axis in range(dim):
-        lows = [r.lo[axis] for r in rects]
-        highs = [r.hi[axis] for r in rects]
-        width = max(highs) - min(lows)
-        i_high_low = max(range(n), key=lambda k: lows[k])
-        i_low_high = min(range(n), key=lambda k: highs[k])
-        if i_high_low == i_low_high:
-            continue
-        separation = lows[i_high_low] - highs[i_low_high]
-        norm = separation / width if width > 0 else separation
-        if norm > best_norm:
-            best_norm = norm
-            best_axis = axis
-
-    order = sorted(range(n), key=lambda k: rects[k].lo[best_axis])
+    _validate_split_input(lo, hi, min_fill)
+    n = lo.shape[1]
+    best = _best_separated_axis(lo, hi)
+    lows = lo[0 if best is None else best[0]].tolist()
+    order = sorted(range(n), key=lambda k: lows[k])
     half = max(min_fill, min(n - min_fill, (n + 1) // 2))
     return order[:half], order[half:]
 

@@ -17,6 +17,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from ..geometry import GeometryError, Rect, RectArray
+from .node import mbr_array
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for typing only
     from .tree import RTree
@@ -51,14 +52,11 @@ class TreeDescription:
     # ------------------------------------------------------------------
     @classmethod
     def from_tree(cls, tree: "RTree") -> "TreeDescription":
-        """Extract the description from a live :class:`RTree`."""
+        """Extract the description from a live :class:`RTree`: each
+        node's MBR is one max-reduce over its block."""
         if len(tree) == 0:
             raise GeometryError("cannot describe an empty tree")
-        levels = tuple(
-            RectArray.from_rects(node.mbr() for node in level)
-            for level in tree.nodes_by_level()
-        )
-        return cls(levels)
+        return cls(tuple(mbr_array(level) for level in tree.nodes_by_level()))
 
     @classmethod
     def from_level_rects(cls, levels: list[list[Rect]]) -> "TreeDescription":

@@ -9,8 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..geometry import mbr_of
-from .node import Node
+from .node import Node, product
 from .tree import RTree
 
 __all__ = ["InvariantViolation", "check_tree"]
@@ -28,16 +27,17 @@ def check_tree(tree: RTree) -> None:
     * leaves all sit at the same depth;
     * entry counts are within ``[min_entries, max_entries]`` for
       non-root nodes, and the root has >= 2 entries when internal;
-    * every internal entry's rectangle equals its child's actual MBR;
-    * every internal node's block columns and areas equal its entries'
-      rectangles (the block ChooseLeaf reads, see :class:`Node`);
+    * leaf entries point to items and internal entries to nodes;
+    * every stored area equals the product of its column's widths
+      (the areas ChooseLeaf reads, see :class:`Node`);
+    * every internal entry's column equals its child's actual MBR;
     * the number of stored items equals ``len(tree)``.
 
     Raises :class:`InvariantViolation` on the first failure.
     """
     root = tree.root
     if len(tree) == 0:
-        if not root.is_leaf or root.entries:
+        if not root.is_leaf or root.refs:
             raise InvariantViolation("empty tree must be a bare leaf root")
         return
 
@@ -46,7 +46,7 @@ def check_tree(tree: RTree) -> None:
 
     def visit(node: Node, depth: int, is_root: bool) -> None:
         nonlocal item_count
-        n = len(node.entries)
+        n = len(node.refs)
         if n > tree.max_entries:
             raise InvariantViolation(
                 f"node at depth {depth} has {n} > max {tree.max_entries} entries"
@@ -61,26 +61,28 @@ def check_tree(tree: RTree) -> None:
                 f"node at depth {depth} has {n} < min {tree.min_entries} entries"
             )
 
+        lo, hi = node.corners()
+        if not np.array_equal(node.areas[:n], product(hi - lo)):
+            raise InvariantViolation(
+                f"stored areas at depth {depth} are not their columns' areas"
+            )
         if node.is_leaf:
             leaf_depths.add(depth)
-            for e in node.entries:
-                if e.child is not None:
-                    raise InvariantViolation("leaf entry has a child pointer")
-                item_count += 1
+            if any(isinstance(ref, Node) for ref in node.refs):
+                raise InvariantViolation("leaf entry has a child pointer")
+            item_count += n
         else:
-            for e in node.entries:
-                if e.child is None:
+            for i, child in enumerate(node.refs):
+                if not isinstance(child, Node):
                     raise InvariantViolation("internal entry has no child")
-                actual = mbr_of(c.rect for c in e.child.entries)
-                if actual != e.rect:
+                if not child.refs:
+                    raise InvariantViolation(f"empty child at depth {depth + 1}")
+                if not np.array_equal(node.block[:, i], child.mbr_row()):
                     raise InvariantViolation(
-                        f"stale MBR at depth {depth}: stored {e.rect}, actual {actual}"
+                        f"stale MBR at depth {depth}: stored {node.rect(i)}, "
+                        f"actual {child.mbr()}"
                     )
-                visit(e.child, depth + 1, is_root=False)
-            if not _block_matches(node):
-                raise InvariantViolation(
-                    f"child block at depth {depth} does not mirror its entries"
-                )
+                visit(child, depth + 1, is_root=False)
 
     visit(root, 0, is_root=True)
 
@@ -95,16 +97,3 @@ def check_tree(tree: RTree) -> None:
         raise InvariantViolation(
             f"stored items {item_count} != len(tree) {len(tree)}"
         )
-
-
-def _block_matches(node: Node) -> bool:
-    """Whether an internal node's block mirrors its entries' rectangles."""
-    if node.lo is None:
-        return False
-    n = len(node.entries)
-    rects = [e.rect for e in node.entries]
-    return (
-        np.array_equal(node.lo[:, :n], np.array([r.lo for r in rects]).T)
-        and np.array_equal(node.hi[:, :n], np.array([r.hi for r in rects]).T)
-        and np.array_equal(node.areas[:n], [r.area for r in rects])
-    )

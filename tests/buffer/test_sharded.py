@@ -248,7 +248,21 @@ class TestPageIds:
         pool = ShardedBufferPool(6, shards, pinned=[0])
         with pytest.raises(ValueError, match="non-negative"):
             pool.request_batch(np.array([1, -3]))
+        with pytest.raises(ValueError, match="non-negative"):
+            pool.request(-3)
         assert pool.aggregate_stats().requests == 0
+
+    @pytest.mark.parametrize("pinned", [[], [0, 2], [0, 1, 2]])
+    def test_one_page_requests_read_the_pin_table(self, pinned):
+        # Pages beyond the highest pin read the table's last slot; every
+        # answer and counter equals the one-page request_batch's.
+        pages = [2, 0, 7, 1, 2, 40, 0, 3, 1, 7]
+        single = LRUBuffer(3, pinned=pinned)
+        batched = LRUBuffer(3, pinned=pinned)
+        for page in pages:
+            assert single.request(page) == (not batched.request_batch([page]))
+        assert single.stats.as_dict() == batched.stats.as_dict()
+        assert single.resident_pages() == batched.resident_pages()
 
 
 class TestConcurrency:

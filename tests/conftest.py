@@ -23,6 +23,13 @@ def random_rects(
     return RectArray(lo, lo + sides)
 
 
+def corners(rects) -> tuple[np.ndarray, np.ndarray]:
+    """The ``(d, n)`` corner arrays ``lo`` and ``hi`` a split function
+    takes, from a sequence of :class:`Rect`."""
+    arr = RectArray.from_rects(rects)
+    return arr.lo.T, arr.hi.T
+
+
 def brute_force_intersecting(
     rects: list[Rect], query: Rect
 ) -> list[int]:

@@ -1,18 +1,17 @@
 """Tests for the R*-tree extension (split, insertion, reinsert)."""
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from repro.geometry import Rect, mbr_of
 from repro.rtree import RStarTree, RTree, check_tree, rstar_split
-from repro.rtree.node import Entry
 from repro.rtree.rstar import rstar_tree
-from repro.rtree.split import SPLIT_FUNCTIONS, quadratic_split
-from tests.conftest import brute_force_intersecting, random_rects
-
-
-def entries_from(rects):
-    return [Entry(r, item=i) for i, r in enumerate(rects)]
+from repro.rtree.split import SPLIT_FUNCTIONS, _validate_split_input, quadratic_split
+from tests.conftest import brute_force_intersecting, corners, random_rects
 
 
 class TestRStarSplit:
@@ -21,21 +20,21 @@ class TestRStarSplit:
 
     def test_partition_complete_and_disjoint(self, rng):
         arr = random_rects(rng, 26)
-        a, b = rstar_split(entries_from(list(arr)), min_fill=10)
+        a, b = rstar_split(*corners(list(arr)), min_fill=10)
         assert sorted(a + b) == list(range(26))
         assert not set(a) & set(b)
 
     def test_min_fill_respected_at_every_distribution(self, rng):
         for n, m in ((26, 10), (11, 4), (5, 2), (4, 2)):
             arr = random_rects(np.random.default_rng(n), n)
-            a, b = rstar_split(entries_from(list(arr)), min_fill=m)
+            a, b = rstar_split(*corners(list(arr)), min_fill=m)
             assert len(a) >= m and len(b) >= m
             assert len(a) + len(b) == n
 
     def test_separates_clusters(self):
         left = [Rect((0.0, i * 0.01), (0.05, i * 0.01 + 0.005)) for i in range(5)]
         right = [Rect((0.9, i * 0.01), (0.95, i * 0.01 + 0.005)) for i in range(5)]
-        a, b = rstar_split(entries_from(left + right), min_fill=3)
+        a, b = rstar_split(*corners(left + right), min_fill=3)
         groups = {frozenset(a), frozenset(b)}
         assert groups == {frozenset(range(5)), frozenset(range(5, 10))}
 
@@ -54,9 +53,9 @@ class TestRStarSplit:
         for seed in range(20):
             arr = random_rects(np.random.default_rng(seed), 21, max_side=0.3)
             rects = list(arr)
-            entries = entries_from(rects)
-            rstar_total += overlap_of(rects, rstar_split(entries, 8))
-            quad_total += overlap_of(rects, quadratic_split(entries, 8))
+            lo, hi = corners(rects)
+            rstar_total += overlap_of(rects, rstar_split(lo, hi, 8))
+            quad_total += overlap_of(rects, quadratic_split(lo, hi, 8))
         assert rstar_total <= quad_total + 1e-9
 
     def test_usable_as_plain_rtree_split(self, rng):
@@ -65,6 +64,83 @@ class TestRStarSplit:
             tree.insert(r, i)
         check_tree(tree)
         assert len(tree) == 200
+
+
+def reference_rstar_split(
+    lo: np.ndarray, hi: np.ndarray, min_fill: int
+) -> tuple[list[int], list[int]]:
+    """The R* split as a scalar loop over :class:`Rect` prefix and
+    suffix unions: the oracle for ``rstar_split``'s array passes."""
+    _validate_split_input(lo, hi, min_fill)
+    rects = [Rect(tuple(l), tuple(h)) for l, h in zip(lo.T.tolist(), hi.T.tolist())]
+    total = len(rects)
+    n_dist = total - 2 * min_fill + 1
+
+    def orders(axis):
+        by_lower = sorted(range(total), key=lambda i: rects[i].lo[axis])
+        by_upper = sorted(range(total), key=lambda i: rects[i].hi[axis])
+        return by_lower, by_upper
+
+    def prefix_suffix(order):
+        prefix = [rects[order[0]]]
+        for i in range(1, total):
+            prefix.append(prefix[-1].union(rects[order[i]]))
+        suffix = [rects[order[-1]]]
+        for i in range(total - 2, -1, -1):
+            suffix.insert(0, suffix[0].union(rects[order[i]]))
+        return prefix, suffix
+
+    best_axis = 0
+    best_margin_sum = math.inf
+    for axis in range(rects[0].dim):
+        margin_sum = 0.0
+        for order in orders(axis):
+            prefix, suffix = prefix_suffix(order)
+            for k in range(n_dist):
+                split_at = min_fill + k
+                margin_sum += prefix[split_at - 1].margin + suffix[split_at].margin
+        if margin_sum < best_margin_sum:
+            best_margin_sum = margin_sum
+            best_axis = axis
+
+    best_groups = None
+    best_overlap = math.inf
+    best_area = math.inf
+    for order in orders(best_axis):
+        prefix, suffix = prefix_suffix(order)
+        for k in range(n_dist):
+            split_at = min_fill + k
+            bb1, bb2 = prefix[split_at - 1], suffix[split_at]
+            inter = bb1.intersection(bb2)
+            overlap = inter.area if inter is not None else 0.0
+            area = bb1.area + bb2.area
+            if overlap < best_overlap or (overlap == best_overlap and area < best_area):
+                best_overlap = overlap
+                best_area = area
+                best_groups = (order[:split_at], order[split_at:])
+    return best_groups
+
+
+@st.composite
+def grid_split_inputs(draw):
+    """Corner arrays on a 1/8 grid (ties, points and shared edges are
+    common) plus a feasible ``min_fill``."""
+    dim = draw(st.sampled_from([1, 2, 3]))
+    n = draw(st.integers(min_value=2, max_value=60))
+    lo = draw(arrays(np.int64, (dim, n), elements=st.integers(0, 8))) / 8
+    side = draw(arrays(np.int64, (dim, n), elements=st.integers(0, 4))) / 8
+    return lo, lo + side, draw(st.integers(min_value=1, max_value=n // 2))
+
+
+@settings(
+    max_examples=150,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large],
+)
+@given(grid_split_inputs())
+def test_rstar_split_matches_scalar_reference(case):
+    lo, hi, min_fill = case
+    assert rstar_split(lo, hi, min_fill) == reference_rstar_split(lo, hi, min_fill)
 
 
 class TestRStarTree:

@@ -1,7 +1,5 @@
 """Unit tests for the Guttman split heuristics."""
 
-from typing import Sequence
-
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -10,12 +8,9 @@ from hypothesis.extra.numpy import arrays
 from repro.datasets import tiger_like
 from repro.geometry import Rect, mbr_of
 from repro.packing import tat_tree
-from repro.rtree import Entry, greene_split, linear_split, quadratic_split
+from repro.rtree import greene_split, linear_split, quadratic_split
 from repro.rtree.split import SPLIT_FUNCTIONS, _validate_split_input
-
-
-def entries_from(rects):
-    return [Entry(r, item=i) for i, r in enumerate(rects)]
+from tests.conftest import corners
 
 
 def two_clusters(n_per_side=4):
@@ -37,8 +32,7 @@ class TestCommonSplitBehaviour:
         from tests.conftest import random_rects
 
         arr = random_rects(rng, 21)
-        entries = entries_from(list(arr))
-        a, b = split(entries, min_fill=8)
+        a, b = split(*corners(list(arr)), min_fill=8)
         assert sorted(a + b) == list(range(21))
         assert not set(a) & set(b)
 
@@ -47,43 +41,36 @@ class TestCommonSplitBehaviour:
 
         for seed in range(5):
             arr = random_rects(np.random.default_rng(seed), 11)
-            entries = entries_from(list(arr))
-            a, b = split(entries, min_fill=4)
+            a, b = split(*corners(list(arr)), min_fill=4)
             assert len(a) >= 4
             assert len(b) >= 4
 
     def test_separates_two_clusters(self, split):
-        entries = entries_from(two_clusters())
-        a, b = split(entries, min_fill=2)
+        a, b = split(*corners(two_clusters()), min_fill=2)
         groups = {frozenset(a), frozenset(b)}
         assert groups == {frozenset(range(4)), frozenset(range(4, 8))}
 
     def test_split_two_entries(self, split):
-        entries = entries_from(
-            [Rect((0, 0), (0.1, 0.1)), Rect((0.5, 0.5), (0.6, 0.6))]
-        )
-        a, b = split(entries, min_fill=1)
+        lo, hi = corners([Rect((0, 0), (0.1, 0.1)), Rect((0.5, 0.5), (0.6, 0.6))])
+        a, b = split(lo, hi, min_fill=1)
         assert sorted(a + b) == [0, 1]
         assert len(a) == len(b) == 1
 
     def test_rejects_single_entry(self, split):
         with pytest.raises(ValueError):
-            split(entries_from([Rect((0, 0), (1, 1))]), min_fill=1)
+            split(*corners([Rect((0, 0), (1, 1))]), min_fill=1)
 
     def test_rejects_min_fill_too_large(self, split):
-        entries = entries_from(two_clusters())
         with pytest.raises(ValueError):
-            split(entries, min_fill=5)
+            split(*corners(two_clusters()), min_fill=5)
 
     def test_rejects_zero_min_fill(self, split):
-        entries = entries_from(two_clusters())
         with pytest.raises(ValueError):
-            split(entries, min_fill=0)
+            split(*corners(two_clusters()), min_fill=0)
 
     def test_identical_rects_split_evenly_enough(self, split):
         rect = Rect((0.4, 0.4), (0.6, 0.6))
-        entries = entries_from([rect] * 10)
-        a, b = split(entries, min_fill=4)
+        a, b = split(*corners([rect] * 10), min_fill=4)
         assert len(a) >= 4 and len(b) >= 4
 
 
@@ -97,7 +84,7 @@ class TestQuadraticSpecifics:
             Rect((0.5, 0.5), (0.51, 0.51)),
             Rect((0.5, 0.52), (0.51, 0.53)),
         ]
-        a, b = quadratic_split(entries_from(rects), min_fill=1)
+        a, b = quadratic_split(*corners(rects), min_fill=1)
         # 0 and 1 must end up in different groups.
         group_of = {}
         for idx in a:
@@ -111,8 +98,7 @@ class TestQuadraticSpecifics:
 
         arr = random_rects(rng, 30, max_side=0.2)
         rects = list(arr)
-        entries = entries_from(rects)
-        a, b = quadratic_split(entries, min_fill=12)
+        a, b = quadratic_split(*corners(rects), min_fill=12)
         cover_a = mbr_of(rects[i] for i in a)
         cover_b = mbr_of(rects[i] for i in b)
         # Arbitrary split: first half vs second half.
@@ -131,7 +117,7 @@ class TestLinearSpecifics:
             Rect((0.4, 0.4), (0.6, 0.6)),
             Rect((0.45, 0.45), (0.55, 0.55)),
         ]
-        a, b = linear_split(entries_from(rects), min_fill=1)
+        a, b = linear_split(*corners(rects), min_fill=1)
         group_of = {}
         for idx in a:
             group_of[idx] = "a"
@@ -149,7 +135,7 @@ class TestGreeneSpecifics:
             Rect((0.7 + 0.05 * i, 0.4), (0.72 + 0.05 * i, 0.6))
             for i in range(5)
         ]
-        a, b = greene_split(entries_from(rects), min_fill=2)
+        a, b = greene_split(*corners(rects), min_fill=2)
         groups = {frozenset(a), frozenset(b)}
         assert groups == {frozenset(range(5)), frozenset(range(5, 10))}
 
@@ -160,7 +146,7 @@ class TestGreeneSpecifics:
 
         arr = random_rects(rng, 20)
         rects = list(arr)
-        a, b = greene_split(entries_from(rects), min_fill=8)
+        a, b = greene_split(*corners(rects), min_fill=8)
         # One group's members all precede the other's in some axis sort.
         for axis in range(2):
             lows_a = sorted(rects[i].lo[axis] for i in a)
@@ -193,12 +179,12 @@ def test_registry_contents():
 # every input, not merely groups of the same quality.
 # ----------------------------------------------------------------------
 def reference_quadratic_split(
-    entries: Sequence[Entry], min_fill: int
+    lo: np.ndarray, hi: np.ndarray, min_fill: int
 ) -> tuple[list[int], list[int]]:
-    _validate_split_input(entries, min_fill)
-    los = [e.rect.lo for e in entries]
-    his = [e.rect.hi for e in entries]
-    n = len(entries)
+    _validate_split_input(lo, hi, min_fill)
+    los = [tuple(c) for c in lo.T.tolist()]
+    his = [tuple(c) for c in hi.T.tolist()]
+    n = len(los)
     areas = [_area(lo, hi) for lo, hi in zip(los, his)]
 
     # PickSeeds: maximise d = area(J) - area(E1) - area(E2).
@@ -300,7 +286,7 @@ def _union(
 
 @st.composite
 def grid_split_inputs(draw):
-    """Entries on a 1/8 grid plus a feasible ``min_fill``.
+    """Corner arrays on a 1/8 grid plus a feasible ``min_fill``.
 
     Lows in [0, 1] and sides in [0, 1/2] on that grid make duplicates,
     points, zero-width rectangles and shared edges common, so waste and
@@ -308,14 +294,10 @@ def grid_split_inputs(draw):
     """
     dim = draw(st.sampled_from([1, 2, 3]))
     n = draw(st.integers(min_value=2, max_value=130))
-    lo = draw(arrays(np.int64, (n, dim), elements=st.integers(0, 8))) / 8
-    side = draw(arrays(np.int64, (n, dim), elements=st.integers(0, 4))) / 8
-    entries = [
-        Entry(Rect(tuple(l), tuple(l + s)), item=i)
-        for i, (l, s) in enumerate(zip(lo, side))
-    ]
+    lo = draw(arrays(np.int64, (dim, n), elements=st.integers(0, 8))) / 8
+    side = draw(arrays(np.int64, (dim, n), elements=st.integers(0, 4))) / 8
     min_fill = draw(st.integers(min_value=1, max_value=n // 2))
-    return entries, min_fill
+    return lo, lo + side, min_fill
 
 
 class TestQuadraticMatchesReference:
@@ -326,9 +308,9 @@ class TestQuadraticMatchesReference:
     )
     @given(grid_split_inputs())
     def test_same_groups_in_same_order(self, case):
-        entries, min_fill = case
-        assert quadratic_split(entries, min_fill) == reference_quadratic_split(
-            entries, min_fill
+        lo, hi, min_fill = case
+        assert quadratic_split(lo, hi, min_fill) == reference_quadratic_split(
+            lo, hi, min_fill
         )
 
     def test_tat_tree_layout_identical(self):
@@ -336,8 +318,8 @@ class TestQuadraticMatchesReference:
 
         def layout(node):
             if node.is_leaf:
-                return [e.item for e in node.entries]
-            return [layout(e.child) for e in node.entries]
+                return list(node.refs)
+            return [layout(child) for child in node.refs]
 
         fast = tat_tree(data, 100)
         reference = tat_tree(data, 100, split=reference_quadratic_split)

@@ -1,13 +1,19 @@
 """Insertion tests for the dynamic R-tree."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
-from repro.geometry import GeometryError, Rect
-from repro.rtree import Entry, Node, RStarTree, RTree, check_tree
-from tests.conftest import random_rects
+from repro.geometry import GeometryError, Rect, mbr_of
+from repro.packing import tat_tree
+from repro.rtree import Node, RStarTree, RTree, check_tree
+from repro.rtree.node import rect_rows
+from repro.rtree.rstar import rstar_tree
+from tests.conftest import corners, random_rects
+from tests.rtree.test_split import reference_quadratic_split
 
 
 class TestConstruction:
@@ -167,18 +173,19 @@ class TestStructure:
         assert sizes == sorted(sizes)
 
 
-def reference_choose_subtree(node, rect):
-    """ChooseLeaf as a scalar loop over the entries with builtin
-    ``max``/``min``: the oracle for the vectorised pass over the node's
-    block in ``RTree._choose_subtree``.  Returns the chosen index."""
+def reference_choose_subtree(rects, rect):
+    """ChooseLeaf as a scalar loop over the entries' rectangles with
+    builtin ``max``/``min``: the oracle for the vectorised pass over a
+    node's block in ``RTree._choose_subtrees``.  Returns the chosen
+    index."""
     r_lo, r_hi = rect.lo, rect.hi
     best = None
     best_enlargement = float("inf")
     best_area = float("inf")
-    for i, e in enumerate(node.entries):
+    for i, e in enumerate(rects):
         area = 1.0
         union_area = 1.0
-        for a, b, c, d in zip(e.rect.lo, e.rect.hi, r_lo, r_hi):
+        for a, b, c, d in zip(e.lo, e.hi, r_lo, r_hi):
             area *= b - a
             union_area *= max(b, d) - min(a, c)
         enlargement = union_area - area
@@ -189,6 +196,10 @@ def reference_choose_subtree(node, rect):
             best_enlargement = enlargement
             best_area = area
     return best
+
+
+def row_of(rect):
+    return rect_rows(np.array(rect.lo), np.array(rect.hi))
 
 
 def grid_rects(draw, dim, n):
@@ -204,44 +215,97 @@ def grid_rects(draw, dim, n):
 
 @st.composite
 def grid_choose_inputs(draw):
-    """An internal node and a rectangle on a 1/8 grid."""
+    """An internal node and up to 12 rectangles on a 1/8 grid."""
     dim = draw(st.sampled_from([1, 2, 3]))
     n = draw(st.integers(min_value=1, max_value=40))
-    rects = grid_rects(draw, dim, n + 1)
-    node = Node(
-        is_leaf=False,
-        entries=[Entry(r, child=Node(is_leaf=True)) for r in rects[:n]],
-    )
-    return node, rects[n]
+    k = draw(st.integers(min_value=1, max_value=12))
+    rects = grid_rects(draw, dim, n + k)
+    node = Node(is_leaf=False)
+    for r in rects[:n]:
+        node.append(row_of(r), r.area, Node(is_leaf=True))
+    return node, rects[:n], rects[n:]
 
 
 @settings(max_examples=200, deadline=None)
 @given(grid_choose_inputs())
 def test_choose_subtree_matches_builtin_max_min(case):
-    node, rect = case
-    assert RTree()._choose_subtree(node, rect) == reference_choose_subtree(
-        node, rect
-    )
+    node, stored, queries = case
+    rows = np.array([row_of(q) for q in queries])
+    slots, grows = RTree()._choose_subtrees(node, rows)
+    assert slots == [reference_choose_subtree(stored, q) for q in queries]
+    assert grows == [not stored[s].contains_rect(q) for s, q in zip(slots, queries)]
 
 
-class ReferenceChooseLeafTree(RTree):
-    """An R-tree whose ChooseLeaf is the scalar oracle."""
+class ReferenceNode:
+    """A node of :class:`ReferenceTree`: ``[rect, child or item]``
+    pairs."""
 
-    def _choose_subtree(self, node, rect):
-        return reference_choose_subtree(node, rect)
+    def __init__(self, is_leaf, entries=()):
+        self.is_leaf = is_leaf
+        self.entries = list(entries)
+
+    def mbr(self):
+        return mbr_of(rect for rect, _ in self.entries)
+
+
+class ReferenceTree:
+    """Guttman insertion as a recursive scalar descent over
+    :class:`Rect` covers, with the scalar oracles
+    ``reference_choose_subtree`` and ``reference_quadratic_split``: the
+    oracle for the array insert loop and its answers computed ahead."""
+
+    def __init__(self, max_entries):
+        self.max_entries = max_entries
+        self.min_entries = max(1, round(0.4 * max_entries))
+        self.root = ReferenceNode(is_leaf=True)
+        self.height = 1
+
+    def insert(self, rect, item):
+        sibling = self._insert(self.root, rect, item, self.height - 1)
+        if sibling is not None:
+            self.root = ReferenceNode(
+                False,
+                [[self.root.mbr(), self.root], [sibling.mbr(), sibling]],
+            )
+            self.height += 1
+
+    def _insert(self, node, rect, item, depth):
+        if depth == 0:
+            node.entries.append([rect, item])
+        else:
+            i = reference_choose_subtree([r for r, _ in node.entries], rect)
+            cover, child = node.entries[i]
+            sibling = self._insert(child, rect, item, depth - 1)
+            if sibling is None:
+                if not cover.contains_rect(rect):
+                    node.entries[i][0] = cover.union(rect)
+                return None
+            node.entries[i][0] = child.mbr()
+            node.entries.append([sibling.mbr(), sibling])
+        if len(node.entries) <= self.max_entries:
+            return None
+        lo, hi = corners([r for r, _ in node.entries])
+        keep, move = reference_quadratic_split(lo, hi, self.min_entries)
+        entries = node.entries
+        node.entries = [entries[i] for i in keep]
+        return ReferenceNode(node.is_leaf, [entries[i] for i in move])
 
 
 def layout(node):
     """The nested item layout of a subtree."""
+    if isinstance(node, ReferenceNode):
+        if node.is_leaf:
+            return [item for _, item in node.entries]
+        return [layout(child) for _, child in node.entries]
     if node.is_leaf:
-        return [e.item for e in node.entries]
-    return [layout(e.child) for e in node.entries]
+        return list(node.refs)
+    return [layout(child) for child in node.refs]
 
 
 @st.composite
-def grid_insert_inputs(draw):
+def grid_insert_inputs(draw, max_rects=150):
     dim = draw(st.sampled_from([1, 2, 3]))
-    n = draw(st.integers(min_value=1, max_value=150))
+    n = draw(st.integers(min_value=1, max_value=max_rects))
     max_entries = draw(st.integers(min_value=3, max_value=10))
     return grid_rects(draw, dim, n), max_entries
 
@@ -255,9 +319,66 @@ def grid_insert_inputs(draw):
 def test_vectorised_choose_leaf_builds_the_reference_tree(case):
     rects, max_entries = case
     fast = RTree(max_entries=max_entries)
-    reference = ReferenceChooseLeafTree(max_entries=max_entries)
+    reference = ReferenceTree(max_entries)
     for i, r in enumerate(rects):
         fast.insert(r, i)
         reference.insert(r, i)
     check_tree(fast)
     assert layout(fast.root) == layout(reference.root)
+
+
+@settings(
+    max_examples=80,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large],
+)
+@given(grid_insert_inputs(max_rects=300), st.sampled_from([1, 2, 7, 128]))
+def test_answers_computed_ahead_build_the_reference_tree(case, window):
+    """``tat_tree`` answers ChooseLeaf ahead, in windows of ``window``
+    rows, and reuses each answer until the node's block changes; its
+    tree must be the one that one insert per rectangle builds, and the
+    one the scalar oracles build."""
+    rects, max_entries = case
+    with mock.patch("repro.rtree.tree.CHOOSE_AHEAD", window):
+        ahead = tat_tree(rects, max_entries)
+    one_by_one = RTree(max_entries=max_entries)
+    reference = ReferenceTree(max_entries)
+    for i, r in enumerate(rects):
+        one_by_one.insert(r, i)
+        reference.insert(r, i)
+    check_tree(ahead)
+    assert layout(ahead.root) == layout(one_by_one.root) == layout(reference.root)
+
+
+@pytest.mark.parametrize("make", [RTree, RStarTree], ids=["rtree", "rstar"])
+class TestAreaOverflow:
+    """Finite coordinates whose areas overflow float64 are rejected
+    before any node changes."""
+
+    def test_rejected_insert_leaves_the_tree_as_it_was(self, make):
+        t = make(max_entries=4)
+        for i in range(9):
+            t.insert(Rect((i * 1e150, 0.0), (i * 1e150 + 1.0, 1e150)), i)
+        size, height = len(t), t.height
+        with pytest.raises(GeometryError, match="overflows"):
+            t.insert(Rect((0.0, 1e160), (1.0, 1e200)), "huge")
+        assert (len(t), t.height) == (size, height)
+        check_tree(t)
+        assert sorted(t.search(Rect((0.0, 0.0), (1e160, 1e160)))) == list(range(9))
+
+    def test_huge_random_boxes(self, make, rng):
+        t = make(max_entries=4)
+        for i in range(50):
+            lo = rng.uniform(-1e200, 1e200, 2)
+            size, height = len(t), t.height
+            try:
+                t.insert(Rect(tuple(lo), tuple(lo + 1e199)), i)
+            except GeometryError:
+                assert (len(t), t.height) == (size, height)
+        check_tree(t)
+
+    def test_bulk_load_checks_the_data_mbr(self, make):
+        data = [Rect((0.0, 0.0), (1.0, 1.0)), Rect((1e200, 1e200), (1e200, 1e200))]
+        loader = tat_tree if make is RTree else rstar_tree
+        with pytest.raises(GeometryError, match="overflows"):
+            loader(data, 4)

@@ -4,7 +4,7 @@ import pytest
 
 from repro.geometry import Rect
 from repro.rtree import InvariantViolation, RTree, check_tree
-from repro.rtree.node import Entry, Node
+from repro.rtree.node import Node
 from tests.conftest import random_rects
 
 
@@ -25,8 +25,10 @@ def test_empty_tree_passes():
 
 
 def test_detects_stale_parent_mbr(tree):
-    entry = tree.root.entries[0]
-    entry.rect = entry.rect.expanded_centered((0.5, 0.5))
+    root = tree.root
+    grown = root.rect(0).expanded_centered((0.5, 0.5))
+    root.block[:, 0] = grown.hi + tuple(-x for x in grown.lo)
+    root.areas[0] = grown.area
     with pytest.raises(InvariantViolation, match="stale MBR"):
         check_tree(tree)
 
@@ -34,20 +36,20 @@ def test_detects_stale_parent_mbr(tree):
 def test_detects_overflow(tree):
     leaf = tree.nodes_by_level()[-1][0]
     for i in range(10):
-        leaf.entries.append(Entry(leaf.entries[0].rect, item=1000 + i))
+        leaf.append(leaf.block[:, 0].copy(), float(leaf.areas[0]), 1000 + i)
     with pytest.raises(InvariantViolation):
         check_tree(tree)
 
 
 def test_detects_underflow(tree):
     leaf = tree.nodes_by_level()[-1][0]
-    removed = leaf.entries[1:]
-    del leaf.entries[1:]
+    removed = leaf.refs[1:]
+    del leaf.refs[1:]
     try:
         with pytest.raises(InvariantViolation):
             check_tree(tree)
     finally:
-        leaf.entries.extend(removed)
+        leaf.refs.extend(removed)
 
 
 def test_detects_item_count_mismatch(tree):
@@ -65,10 +67,9 @@ def test_detects_wrong_height(tree):
 def test_detects_leaf_entry_with_child():
     t = RTree(max_entries=4)
     t.insert(Rect((0, 0), (0.1, 0.1)), "a")
-    leaf = t.root
-    child = Node(is_leaf=True, entries=[Entry(Rect((0, 0), (0.1, 0.1)), item="b")])
-    leaf.entries[0].child = child
-    leaf.entries[0].item = None
+    child = Node(is_leaf=True)
+    child.append(t.root.block[:, 0].copy(), float(t.root.areas[0]), "b")
+    t.root.refs[0] = child
     with pytest.raises(InvariantViolation, match="child"):
         check_tree(t)
 
@@ -81,20 +82,32 @@ def test_detects_nonempty_claimed_empty():
         check_tree(t)
 
 
-def test_entry_rejects_child_and_item():
-    with pytest.raises(ValueError):
-        Entry(Rect((0, 0), (1, 1)), child=Node(is_leaf=True), item="x")
-
-
 def test_detects_stale_child_block(tree):
     root = tree.root
-    root.lo[0, 0] += 0.25
-    with pytest.raises(InvariantViolation, match="child block"):
+    root.block[0, 0] += 0.25
+    with pytest.raises(InvariantViolation, match="areas|stale MBR"):
         check_tree(tree)
 
 
 def test_detects_stale_child_area(tree):
     root = tree.root
-    root.areas[len(root.entries) - 1] += 1.0
-    with pytest.raises(InvariantViolation, match="child block"):
+    root.areas[len(root) - 1] += 1.0
+    with pytest.raises(InvariantViolation, match="areas"):
+        check_tree(tree)
+
+
+def test_detects_stale_leaf_area(tree):
+    leaf = tree.nodes_by_level()[-1][-1]
+    leaf.areas[0] *= 1.0 + 2**-52
+    with pytest.raises(InvariantViolation, match="areas"):
+        check_tree(tree)
+
+
+def test_detects_stale_column_with_matching_area(tree):
+    # A column copied from its neighbour with its area passes the area
+    # check; only the comparison with the child's MBR sees it.
+    root = tree.root
+    root.block[:, 0] = root.block[:, 1]
+    root.areas[0] = root.areas[1]
+    with pytest.raises(InvariantViolation, match="stale MBR"):
         check_tree(tree)
