@@ -11,12 +11,16 @@ set.  This package holds the sub-quadratic kernels they run on:
   dense oracle);
 * :class:`SortedRangeCounter` / :func:`count_points_inside` — offline
   sorted range counting: how many points fall inside each rect;
-* :func:`segmented_left_rank` — lock-step per-segment left ranks, the
-  inner kernel of the single-pass stack-distance sweep.
+* :func:`segmented_left_rank` — per-segment left ranks from a
+  bottom-up merge tree, the inner kernel of the single-pass
+  stack-distance sweep.
 
+The last two share one sorted-block layout (``rangecount.py``).
 Every kernel is *bit-exact* against its dense reference (closed
-boundaries, degenerate slivers included); ``auto`` modes select by
-input size and can be overridden.  See ``docs/PERFORMANCE.md``.
+boundaries, degenerate slivers included).  :func:`make_stabber`'s
+``auto`` mode selects by input size and can be overridden;
+:func:`count_points_inside` picks its kernel by size alone, or takes
+a prebuilt counter.  See ``docs/PERFORMANCE.md``.
 """
 
 from __future__ import annotations

@@ -1,33 +1,35 @@
-"""Offline orthogonal range counting over a fixed point set.
+"""Offline dominance counting on one sorted-block layout.
 
-The data-driven query model (Eq. 4) needs, for every (expanded) node
-MBR, the number of data centres inside it.  The dense evaluation tests
-every centre against every rect — O(M·n) boolean cells, the dominant
-cost of the data-driven figures on large data sets.
+Both kernels of this module rank queries against *sorted blocks*: a
+level ``b`` holds integer keys in aligned blocks of ``2^b``, each
+block sorted and each key raised by its block index times a stride
+above every key.  The raised level is one globally sorted array, so a
+single ``np.searchsorted`` call ranks every query against its own
+block (:func:`_block_rank`).
 
-:class:`SortedRangeCounter` sorts the centres **once** and answers a
-whole batch of rects with searchsorted prefix cuts plus merge
-counting:
-
-* **1-D**: ``count = searchsorted(x, hi, 'right') −
-  searchsorted(x, lo, 'left')`` — two binary searches per rect.
-* **2-D**: sort points by x; a rect's x-slab is then a pair of prefix
-  lengths (``side='right'`` at ``hi_x`` keeps every ``px <= hi_x``,
-  ``side='left'`` at ``lo_x`` drops every ``px >= lo_x``), and the
-  rect count is an inclusion–exclusion of four *dominance* counts
-  ``#{px in prefix, py <= Y}``.  Dominance counts are answered by a
-  Fenwick-style binary decomposition of the prefix into aligned
-  power-of-two blocks whose y-values are pre-sorted (a binary indexed
-  mergesort tree): each query touches at most ``log2(n)`` blocks and
-  does one binary search per block, all lanes advancing together in
-  vectorised lock-step.
-
-Total cost O((M + n) · log² n) instead of O(M · n), and — because
-every comparison is the same exact float comparison the dense kernel
-performs — the counts are *bit-identical* to
-:meth:`RectArray.count_points_inside`.  Dimensions above 2 fall back
-to the chunked dense kernel (the paper's workloads are 2-D; the 3-D
-ablation stays on the oracle path).
+* :class:`SortedRangeCounter` — the data-driven query model (Eq. 4)
+  needs, for every (expanded) node MBR, the number of data centres
+  inside it.  The dense evaluation tests every centre against every
+  rect — O(M·n) boolean cells, the dominant cost of the data-driven
+  figures on large data sets.  The counter sorts the centres **once**
+  by x and stores their integer y-ranks as the levels of a merge
+  tree.  A rect's x-slab is a pair of prefix lengths (``side='right'``
+  at ``hi_x`` keeps every ``px <= hi_x``, ``side='left'`` at ``lo_x``
+  drops every ``px >= lo_x``), and its y-range a pair of rank bounds,
+  so the count is an inclusion–exclusion of four dominance counts
+  ``#{i < k : rank_i < r}``.  A prefix ``[0, k)`` splits into the
+  aligned blocks named by the set bits of ``k``, one per level, and
+  each level answers all its queries with one ``searchsorted``.
+  Total cost O((M + n) · log n) searches instead of O(M · n) tests,
+  and — because every comparison is the same exact float comparison
+  the dense kernel performs — the counts are *bit-identical* to
+  :meth:`RectArray.count_points_inside`.  Dimensions above 2 fall
+  back to the chunked dense kernel (the paper's workloads are 2-D;
+  the 3-D ablation stays on the oracle path).
+* :func:`segmented_left_rank` — the inner kernel of the offline LRU
+  stack-distance engine: a bottom-up merge tree over fixed segments,
+  which ranks each right half against its sorted left half level by
+  level.
 """
 
 from __future__ import annotations
@@ -40,20 +42,47 @@ from ..obs.spans import span
 __all__ = ["SortedRangeCounter", "count_points_inside", "segmented_left_rank"]
 
 _SORTED_MIN_CELLS = 1 << 22
-"""``method="auto"`` switches to the sorted kernel once the dense
-matrix would exceed this many ``n_rects * n_points`` cells."""
+""":func:`count_points_inside` switches to the sorted kernel once the
+dense matrix would exceed this many ``n_rects * n_points`` cells."""
 
-COUNT_METHODS = ("auto", "sorted", "dense")
-"""Accepted values for the ``method`` argument of
-:func:`count_points_inside`."""
+
+def _raise_blocks(blocks: np.ndarray, stride: int) -> np.ndarray:
+    """Flatten ``(rows, width)`` sorted rows, row ``r`` raised by
+    ``r * stride``: with ``stride`` above every key, the result is one
+    globally sorted array."""
+    rows = np.arange(blocks.shape[0], dtype=np.int64) * stride
+    return (blocks + rows[:, None]).ravel()
+
+
+def _block_rank(
+    raised: np.ndarray,
+    width: int,
+    stride: int,
+    block: np.ndarray,
+    keys: np.ndarray,
+    side: str,
+) -> np.ndarray:
+    """Rank each query key within its own block of a raised level.
+
+    ``raised`` is a level of :func:`_raise_blocks` with blocks of
+    ``width`` keys; ``block`` names each query's block (broadcast
+    against ``keys``).  Returns ``#{key in the block <= query}`` for
+    ``side="right"`` and ``< query`` for ``side="left"``; ``keys`` must
+    lie in ``[0, stride)`` so a query never reaches a neighbour block.
+    """
+    rank = np.searchsorted(raised, block * stride + keys, side=side)
+    rank -= block * width
+    return rank
 
 
 class SortedRangeCounter:
     """Reusable range-count structure over a fixed ``(n, d)`` point set.
 
-    Supports ``d <= 2``.  Build cost is O(n log n); each
-    :meth:`count` call costs O(m log² n) for ``m`` rects.  Counts are
-    bit-identical to the dense kernel (closed boundaries throughout).
+    Supports ``d <= 2``.  Build cost is O(n log n) and memory one
+    int64 key per point per level (``log2 n`` levels); each
+    :meth:`count` call costs O(m log n) searches for ``m`` rects.
+    Counts are bit-identical to the dense kernel (closed boundaries
+    throughout).
     """
 
     def __init__(self, points: np.ndarray) -> None:
@@ -66,67 +95,49 @@ class SortedRangeCounter:
                 "use the dense kernel for higher dimensions"
             )
         self.dim = int(points.shape[1])
-        self.n_points = int(points.shape[0])
+        self.n_points = n = int(points.shape[0])
         order = np.argsort(points[:, 0], kind="stable")
         self._xs = points[order, 0]
         self._levels: list[np.ndarray] = []
-        self._n_levels = 0
         if self.dim == 2:
-            ys = points[order, 1]
-            n = ys.shape[0]
-            # Number of bits needed to decompose any prefix length <= n.
-            self._n_levels = max(int(n - 1).bit_length(), 1) + 1 if n else 1
-            padded_n = 1 << (self._n_levels - 1)
-            for b in range(self._n_levels):
-                size = 1 << b
-                # Pad to a whole number of blocks with NaN: NaN compares
-                # False against everything, so padding never counts and
-                # np.sort parks it at the end of each block.
-                padded = np.full(padded_n + 1, np.nan)
-                padded[:n] = ys
-                blocks = padded[:padded_n].reshape(-1, size)
-                level = np.empty(padded_n + 1)
-                level[:padded_n] = np.sort(blocks, axis=1).ravel()
-                level[padded_n] = np.nan  # sentinel: safe overshoot reads
-                self._levels.append(level)
+            # y-values become dense ranks: ``y <= Y`` iff ``rank <
+            # searchsorted(ys, Y, "right")`` and ``y < Y`` iff ``rank <
+            # searchsorted(ys, Y, "left")``.  NaN sorts last, above
+            # every bound a query can name, so it never counts.
+            self._ys, ranks = np.unique(points[order, 1], return_inverse=True)
+            self._stride = self._ys.shape[0] + 1
+            # Pad to a power of two with a key below the stride, so
+            # every raised level stays sorted; no prefix reaches it.
+            keys = np.full(1 << max(n - 1, 0).bit_length(), self._ys.shape[0])
+            keys[:n] = ranks
+            # A prefix [0, k) with k <= n uses the levels below
+            # n.bit_length().
+            for b in range(n.bit_length()):
+                rows = keys.reshape(-1, 1 << b)
+                rows.sort(axis=1)
+                self._levels.append(_raise_blocks(rows, self._stride))
 
-    def _prefix_rank(
-        self, k: np.ndarray, y: np.ndarray, strict: bool
-    ) -> np.ndarray:
-        """``#{i < k : ys[i] <= y}`` (or ``< y`` when ``strict``).
+    def _below(self, k: np.ndarray, r: np.ndarray) -> np.ndarray:
+        """``#{i < k : rank_i < r}`` over the x-sorted points.
 
-        ``k`` holds prefix lengths into the x-sorted y-array; the
-        Fenwick decomposition of each ``k`` visits at most one aligned
-        block per level, located purely from the bits of ``k`` (the
-        blocks for prefix ``[0, k)`` are, high bit first, exactly the
-        set bits of ``k``), so all queries advance level by level in
-        lock-step with a vectorised binary search inside each block.
+        The blocks of prefix ``[0, k)`` are, high bit first, the set
+        bits of ``k``: bit ``b`` names the level-``b`` block that
+        starts at ``k`` with bits ``b`` and below cleared.
         """
+        # Queries sorted by k visit each level's blocks in order, which
+        # keeps the searches cache-local on large point sets.
+        order = np.argsort(k, kind="stable")
+        k, r = k[order], r[order]
         total = np.zeros(k.shape[0], dtype=np.int64)
-        for b in range(self._n_levels):
+        for b, level in enumerate(self._levels):
             sel = np.nonzero((k >> b) & 1)[0]
-            if sel.size == 0:
-                continue
-            size = 1 << b
-            # Offset of this block = the bits of k above b; aligned to
-            # a multiple of 2^(b+1), hence a whole block at level b.
-            base = (k[sel] >> (b + 1)) << (b + 1)
-            arr = self._levels[b]
-            yq = y[sel]
-            lo = np.zeros(sel.size, dtype=np.int64)
-            hi = np.full(sel.size, size, dtype=np.int64)
-            for _ in range(b + 1):
-                active = lo < hi
-                mid = (lo + hi) >> 1
-                v = arr[base + mid]
-                if strict:
-                    cond = active & (v < yq)
-                else:
-                    cond = active & (v <= yq)
-                lo = np.where(cond, mid + 1, lo)
-                hi = np.where(active & ~cond, mid, hi)
-            total[sel] += lo
-        return total
+            block = (k[sel] >> (b + 1)) << 1
+            total[sel] += _block_rank(
+                level, 1 << b, self._stride, block, r[sel], "left"
+            )
+        below = np.empty_like(total)
+        below[order] = total
+        return below
 
     def count(self, rects: RectArray) -> np.ndarray:
         """``(n_rects,)`` int64 count of points inside each rect."""
@@ -138,33 +149,21 @@ class SortedRangeCounter:
         k_lo = np.searchsorted(self._xs, rects.lo[:, 0], side="left")
         if self.dim == 1:
             return (k_hi - k_lo).astype(np.int64)
-        # Inclusion–exclusion over the x-slab [k_lo, k_hi):
-        #   #{lo <= p <= hi} = #{py <= hi_y} − #{py < lo_y} within the slab.
-        below_hi = self._prefix_rank(
-            np.concatenate([k_hi, k_lo]),
-            np.concatenate([rects.hi[:, 1], rects.hi[:, 1]]),
-            strict=False,
-        )
-        below_lo = self._prefix_rank(
-            np.concatenate([k_hi, k_lo]),
-            np.concatenate([rects.lo[:, 1], rects.lo[:, 1]]),
-            strict=True,
-        )
-        m = len(rects)
-        inside_hi = below_hi[:m] - below_hi[m:]
-        inside_lo = below_lo[:m] - below_lo[m:]
-        return (inside_hi - inside_lo).astype(np.int64)
+        # Inclusion–exclusion over the x-slab [k_lo, k_hi) and the
+        # rank range [r_lo, r_hi) of the y-values in [lo_y, hi_y].
+        r_hi = np.searchsorted(self._ys, rects.hi[:, 1], side="right")
+        r_lo = np.searchsorted(self._ys, rects.lo[:, 1], side="left")
+        below = self._below(
+            np.concatenate([k_hi, k_lo, k_hi, k_lo]),
+            np.concatenate([r_hi, r_hi, r_lo, r_lo]),
+        ).reshape(4, -1)
+        return (below[0] - below[1]) - (below[2] - below[3])
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"SortedRangeCounter(n={self.n_points}, dim={self.dim})"
 
 
-def segmented_left_rank(
-    values: np.ndarray,
-    segment: int,
-    *,
-    block: int = 64,
-) -> np.ndarray:
+def segmented_left_rank(values: np.ndarray, segment: int) -> np.ndarray:
     """``r[i] = #{j < i in i's segment : values[j] <= values[i]}``.
 
     The positional *left rank* of every element among the elements
@@ -185,118 +184,77 @@ def segmented_left_rank(
     bit-exact.
 
     **Determinism guarantee.**  The result is a pure function of
-    ``(values, segment, block)``: batching, thread count and span
-    boundaries chosen by callers never change a single count, because
-    every block and every prefix merge computes an exact integer
-    dominance count, not an approximation.
+    ``(values, segment)``: batching, thread count and span boundaries
+    chosen by callers never change a single count, because every
+    level computes an exact integer dominance count, not an
+    approximation.
 
-    Two-level scheme, everything in vectorised lock-step across all
-    segments at once:
+    A bottom-up merge tree, every segment in lock-step: each segment
+    is padded to a power of two, and at level ``b`` every aligned
+    ``2^(b+1)`` block splits into a left and a right half of ``2^b``.
+    The sorted left halves, each raised by its block index, form one
+    sorted array, so one ``searchsorted`` adds to every right-half
+    element its count among the left half; sorting each block's rows
+    in place then makes the next level's halves.  Summed over the
+    levels, those counts are the left rank.  Padding sits at the end
+    of its segment, so it never precedes a real element.  Values whose
+    raised keys would overflow int64 are replaced by their dense ranks
+    first, which keeps every ``<=`` comparison.
 
-    * **blocks** (``block`` elements): brute-force dominance inside
-      each block via one boolean ``(rows, block, block)`` tensor;
-    * **block prefixes**: per segment, a sorted running prefix of the
-      blocks so far, stored packed with per-segment key offsets so a
-      single flat ``searchsorted`` ranks every segment's next block
-      simultaneously; prefixes grow by classic two-``searchsorted``
-      merges (no re-sorting).
-
-    ``values`` must be an integer array; ``segment`` must be a
-    positive multiple of ``block``.  Returns int64 counts, one per
-    element (ties count: equal earlier values are included).
+    ``values`` must be an integer array; ``segment`` must be positive.
+    Returns int64 counts, one per element (ties count: equal earlier
+    values are included).
     """
     v = np.asarray(values)
     if v.ndim != 1:
         raise GeometryError("values must be a 1-D array")
     if v.dtype.kind not in "iu":
         raise GeometryError("values must be an integer array")
-    if block < 1 or segment < 1 or segment % block:
-        raise GeometryError("segment must be a positive multiple of block")
+    if segment < 1:
+        raise GeometryError("segment must be positive")
     n = v.shape[0]
     if n == 0:
         return np.zeros(0, dtype=np.int64)
-    n_pad = -(-n // segment) * segment
-    vmin = int(v.min())
-    sentinel = int(v.max()) - vmin + 1
-    padded = np.empty(n_pad, dtype=np.int64)
-    np.subtract(v, vmin, out=padded[:n], casting="unsafe")
-    # Padding sorts above every real value, so it only ever counts for
-    # padded (discarded) queries.
-    padded[n:] = sentinel
+    width = 1 << (segment - 1).bit_length()
+    n_seg = -(-n // segment)
+    vmin, vmax = int(v.min()), int(v.max())
+    # The widest level raises n_seg·width/2 left halves by their index.
+    limit = int(np.iinfo(np.int64).max)
+    if vmax > limit or (n_seg * width // 2) * (vmax - vmin + 1) > limit:
+        v = np.unique(v, return_inverse=True)[1]
+        vmin, vmax = 0, int(v.max())
+    stride = vmax - vmin + 1
 
-    n_blocks = n_pad // block
-    per_seg = segment // block
-    n_seg = n_pad // segment
-    rank = np.zeros((n_blocks, block), dtype=np.int64)
-
-    # Bottom level: dominance inside each block, brute force, batched
-    # so the boolean tensor stays ~16M cells.
-    blocks = padded.reshape(n_blocks, block)
-    tri = np.tril(np.ones((block, block), dtype=bool), k=-1)
-    batch = max(1, (1 << 24) // (block * block))
-    for s in range(0, n_blocks, batch):
-        sub = blocks[s : s + batch]
-        np.sum(
-            (sub[:, None, :] <= sub[:, :, None]) & tri,
-            axis=2,
-            dtype=np.int64,
-            out=rank[s : s + batch],
+    keys = np.zeros(n_seg * segment, dtype=np.int64)
+    np.subtract(v, vmin, out=keys[:n], dtype=np.int64, casting="unsafe")
+    if width > segment:
+        keys = np.pad(keys.reshape(n_seg, segment), ((0, 0), (0, width - segment)))
+    keys = keys.reshape(-1)
+    rank = np.zeros_like(keys)
+    merged = keys.copy()
+    half = 1
+    while half < width:
+        rows = keys.shape[0] // (2 * half)
+        left = merged.reshape(rows, 2, half)[:, 0, :]  # sorted
+        right = keys.reshape(rows, 2, half)[:, 1, :]  # in position order
+        rank.reshape(rows, 2, half)[:, 1, :] += _block_rank(
+            _raise_blocks(left, stride),
+            half,
+            stride,
+            np.arange(rows, dtype=np.int64)[:, None],
+            right,
+            "right",
         )
-
-    if per_seg > 1:
-        # Mid level: each block is ranked against the merged sorted
-        # prefix of its segment's earlier blocks.  Keys carry a
-        # per-segment offset (stride > any real value) so the packed
-        # prefixes of all segments form one globally sorted array and
-        # a single flat searchsorted serves every segment at once.
-        stride = np.int64(sentinel) + 1
-        rows = np.arange(n_seg, dtype=np.int64)
-        keys = padded.reshape(n_seg, per_seg, block) + (rows * stride)[
-            :, None, None
-        ]
-        rank3 = rank.reshape(n_seg, per_seg, block)
-        prefix = np.sort(keys[:, 0, :], axis=1).ravel()
-        for j in range(1, per_seg):
-            width = j * block
-            q = keys[:, j, :]
-            cnt = np.searchsorted(prefix, q.ravel(), side="right")
-            rank3[:, j, :] += cnt.reshape(n_seg, block) - (rows * width)[
-                :, None
-            ]
-            if j == per_seg - 1:
-                break
-            # Merge block j into each prefix: an element's merged slot
-            # is its rank among the other side plus its own rank, with
-            # prefix elements winning ties (matching side="right"
-            # above).  Row r's packed prefix starts at r*width before
-            # and r*(width+block) after, which the row offsets absorb.
-            small = np.sort(q, axis=1)
-            pos_s = (
-                np.searchsorted(prefix, small.ravel(), side="right").reshape(
-                    n_seg, block
-                )
-                + np.arange(block, dtype=np.int64)[None, :]
-                + (rows * block)[:, None]
-            )
-            pos_b = (
-                np.searchsorted(small.ravel(), prefix, side="left").reshape(
-                    n_seg, width
-                )
-                + np.arange(width, dtype=np.int64)[None, :]
-                + (rows * width)[:, None]
-            )
-            merged = np.empty(n_seg * (width + block), dtype=np.int64)
-            merged[pos_s.ravel()] = small.ravel()
-            merged[pos_b.ravel()] = prefix
-            prefix = merged
-    return rank.reshape(-1)[:n]
+        half *= 2
+        if half < width:
+            merged.reshape(rows, half).sort(axis=1)
+    return rank.reshape(n_seg, width)[:, :segment].reshape(-1)[:n]
 
 
 def count_points_inside(
     rects: RectArray,
     points: np.ndarray,
     *,
-    method: str = "auto",
     counter: SortedRangeCounter | None = None,
 ) -> np.ndarray:
     """Count ``points`` inside each rect, choosing a kernel by size.
@@ -305,42 +263,21 @@ def count_points_inside(
     ----------
     rects, points:
         The rect set and the ``(n, d)`` point set (closed boundaries).
-    method:
-        ``"auto"`` uses the sorted kernel when ``d <= 2`` and the dense
-        matrix would exceed ``_SORTED_MIN_CELLS`` cells (or whenever a
-        prebuilt ``counter`` is supplied), the chunked dense kernel
-        otherwise; ``"sorted"`` / ``"dense"`` force the choice.
     counter:
         A prebuilt :class:`SortedRangeCounter` over ``points`` — lets
         callers with a fixed point set (e.g. the data-driven workload's
         centres) amortise the sort across many calls.
 
-    All kernels return bit-identical int64 counts.
+    The sorted kernel runs when a ``counter`` is supplied, or when
+    ``d <= 2`` and the dense matrix would exceed ``_SORTED_MIN_CELLS``
+    cells; the chunked dense kernel runs otherwise.  Both return
+    bit-identical int64 counts.
     """
-    if method not in COUNT_METHODS:
-        raise ValueError(
-            f"unknown count method {method!r}; choices: {COUNT_METHODS}"
-        )
     points = np.asarray(points, dtype=np.float64)
     if points.ndim != 2 or points.shape[1] != rects.dim:
         raise GeometryError("points must be (n_points, d)")
-    if method == "dense":
-        with span(
-            "accel.count",
-            backend="dense",
-            n_rects=len(rects),
-            n_points=points.shape[0],
-        ):
-            return rects.count_points_inside(points)
-    sortable = rects.dim <= 2
-    if method == "sorted":
-        if not sortable:
-            raise GeometryError(
-                "the sorted kernel supports 1-D and 2-D only; "
-                "use method='dense' for higher dimensions"
-            )
-    elif counter is None and not (
-        sortable and len(rects) * points.shape[0] >= _SORTED_MIN_CELLS
+    if counter is None and not (
+        rects.dim <= 2 and len(rects) * points.shape[0] >= _SORTED_MIN_CELLS
     ):
         with span(
             "accel.count",

@@ -107,7 +107,6 @@ def data_driven_probabilities(
     centers: np.ndarray,
     extents: Sequence[float],
     *,
-    method: str = "auto",
     counter: SortedRangeCounter | None = None,
 ) -> np.ndarray:
     """Access probabilities under the data-driven query model (Eq. 4).
@@ -122,10 +121,9 @@ def data_driven_probabilities(
     with ``y_ijk = 1`` iff centre ``k`` is inside ``R'_ij``.  With zero
     extents this degenerates to the point-query indicator ``x_ijk``.
 
-    The counting step runs on :func:`repro.accel.count_points_inside`:
-    ``method`` selects the kernel (``"auto"`` by size, ``"sorted"`` /
-    ``"dense"`` force it) and ``counter`` lets callers with a fixed
-    centre set amortise its sort across calls — all kernels are
+    The counting step runs on :func:`repro.accel.count_points_inside`,
+    which picks its kernel by size; ``counter`` lets callers with a
+    fixed centre set amortise its sort across calls.  Both kernels are
     bit-exact, so the probabilities do not depend on the choice.
     """
     extents = _validate_extents(extents, rects.dim)
@@ -135,5 +133,5 @@ def data_driven_probabilities(
     if centers.shape[0] == 0:
         raise GeometryError("the data-driven model needs at least one center")
     expanded = rects.expanded_centered(extents)
-    counts = _accel_count(expanded, centers, method=method, counter=counter)
+    counts = _accel_count(expanded, centers, counter=counter)
     return counts / centers.shape[0]

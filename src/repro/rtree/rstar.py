@@ -339,7 +339,8 @@ def _center(lo: Sequence[float], hi: Sequence[float]) -> tuple[float, ...]:
 
 
 def _distance2(a: tuple[float, ...], b: tuple[float, ...]) -> float:
-    return sum((x - y) ** 2 for x, y in zip(a, b))
+    # A float product overflows to inf, where ``**`` would raise.
+    return sum((x - y) * (x - y) for x, y in zip(a, b))
 
 
 def _area_of(lo: tuple[float, ...], hi: tuple[float, ...]) -> float:

@@ -32,9 +32,9 @@ page alphabet (pages = tree nodes):
 
 * ``prev[t]`` inside ``t``'s segment (a *near* access) — the count
   telescopes to the segment-local left rank of
-  :func:`repro.accel.segmented_left_rank`, a shallow two-level
-  merge-count kernel run over all segments in lock-step (and in
-  parallel across segment spans);
+  :func:`repro.accel.segmented_left_rank`, a bottom-up merge tree run
+  over all segments in lock-step (and in parallel across segment
+  spans);
 * ``prev[t]`` before the segment (a *far* access) — the distinct
   pages in the window split at the segment boundary into a *stack*
   term (pages whose last access before the boundary is after
@@ -108,9 +108,12 @@ kernel and per-capacity accounting.  Results never depend on it."""
 _LR_SEGMENT = 512
 """Segment length of the stack-distance kernel: both the left-rank
 segments and the boundaries the far-access walk stops at.  Must be a
-multiple of the left-rank block (64).  Short segments keep the
-lock-step merge shallow — measured fastest around 512 for streams
-near 10⁶ accesses."""
+power of two: the merge tree pads every segment to one, and
+``_stack_distances`` finds each segment start as ``t & -_LR_SEGMENT``.
+Longer segments deepen the merge tree by one level per doubling and
+halve the walk's steps; on Table 1's streams 1,024 and 2,048 ran
+within run-to-run noise of 512, and 256 ran slower through the pool
+(docs/PERFORMANCE.md)."""
 
 
 def simulate_sweep(
@@ -445,16 +448,22 @@ def _stack_distances(
     ccold = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(cold, out=ccold[1:])
 
-    depth = np.zeros(n, dtype=np.int64)
     if n == 0:
-        return cold, depth, ccold
+        return cold, np.zeros(0, dtype=np.int64), ccold
 
-    ranks = _left_ranks(prev, pool, workers)
-    t = np.arange(n, dtype=np.int64)
-    seg_start = t - t % _LR_SEGMENT
-    near = prev >= seg_start  # implies warm: cold prev = -1 < seg_start
-    depth[near] = seg_start[near] + ranks[near] - prev[near] - 1
-    far = ~near & ~cold
+    # ``depth`` starts as the segment-local left ranks W(t) and is
+    # finished in place: a near access adds T - p - 1, a far access
+    # its stack term (the walk below), and a cold access reads 0.
+    depth = _left_ranks(prev, pool, workers)
+    before = np.arange(n, dtype=np.int64)
+    before &= -_LR_SEGMENT  # T: the accesses before t's segment
+    near = prev >= before  # implies warm: cold prev = -1 < T
+    before -= prev
+    before -= 1
+    np.add(depth, before, out=depth, where=near)
+    del before
+    depth[cold] = 0
+    far = ~(near | cold)
     if np.any(far):
         # One last-position table walks the boundaries.  Before
         # boundary c·S it takes each page's final position in segment
@@ -478,7 +487,7 @@ def _stack_distances(
                 after_p = stack.shape[0] - np.searchsorted(
                     stack, prev[queries], side="right"
                 )
-                depth[queries] = after_p + ranks[queries]
+                depth[queries] += after_p
     return cold, depth, ccold
 
 

@@ -178,8 +178,8 @@ class TestGridEqualsDense:
 
 
 def assert_same_count(rects: RectArray, points: np.ndarray) -> None:
-    fast = count_points_inside(rects, points, method="sorted")
-    dense = count_points_inside(rects, points, method="dense")
+    fast = SortedRangeCounter(points).count(rects)
+    dense = rects.count_points_inside(points)
     assert fast.dtype == dense.dtype
     assert np.array_equal(fast, dense)
 
@@ -221,6 +221,16 @@ class TestSortedCountEqualsDense:
         points = rng.random((4097, 2))  # off power-of-two on purpose
         assert_same_count(rects, points)
 
+    def test_nan_and_infinite_points(self, rng):
+        # NaN y-values sort last among the ranks, past every bound a
+        # rect can name, so like the dense kernel they never count.
+        points = rng.random((500, 2))
+        points[::7, 1] = np.nan
+        points[::11, 0] = np.nan
+        points[::13] = np.inf
+        points[::17, 1] = -np.inf
+        assert_same_count(random_rects(rng, 200), points)
+
     def test_1d(self, rng):
         lo = rng.random((20, 1))
         rects = RectArray(lo, lo + rng.random((20, 1)) * 0.2)
@@ -231,6 +241,4 @@ class TestSortedCountEqualsDense:
         points = rng.random((200, 2))
         counter = SortedRangeCounter(points)
         fast = count_points_inside(rects, points, counter=counter)
-        assert np.array_equal(
-            fast, count_points_inside(rects, points, method="dense")
-        )
+        assert np.array_equal(fast, rects.count_points_inside(points))

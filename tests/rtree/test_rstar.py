@@ -220,6 +220,15 @@ class TestRStarTree:
         check_tree(tree)
         assert len(tree) == 300
 
+    def test_reinsert_distances_past_float_range(self):
+        # Centre distances near 1e200 square past the float range; the
+        # reinsertion order must still be computed, not raise.
+        tree = RStarTree(max_entries=4)
+        for i in range(20):
+            tree.insert(Rect.from_point(((i % 7) * 1.5e199,)), i)
+        check_tree(tree)
+        assert len(tree) == 20
+
     def test_loader_validation(self, rng):
         with pytest.raises(ValueError):
             rstar_tree([], 10)
