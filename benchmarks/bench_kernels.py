@@ -12,8 +12,10 @@ oracles on the two compute-dominant paths of the reproduction:
   sizes (:func:`repro.simulation.simulate_sweep`) vs per-capacity
   online simulation, asserted bit-exact;
 * ``probe_simulation_throughput`` — the instrumented metrics-probe
-  simulation (registry + per-level sink + trace ring) in queries/s,
-  grid vs dense stabbing backend;
+  simulation in queries/s, grid vs dense stabbing backend.  It runs
+  with ``level_stats=True``, the per-level table the probes export;
+  ledger entries from before the metrics registry and the query-trace
+  ring were deleted also timed those;
 * ``serving_throughput`` — the serving engine's micro-batched
   admission (:class:`repro.serving.QueryService`, ``max_batch=4096``)
   vs the naive per-query loop (``max_batch=0``: one stab call per
@@ -66,7 +68,7 @@ from repro.accel import DenseStabber, GridStabbingIndex, SortedRangeCounter
 from repro.buffer import LRUBuffer
 from repro.geometry import RectArray
 from repro.model.access import data_driven_probabilities
-from repro.obs import MetricsRegistry, TelemetrySink
+from repro.obs import TelemetrySink
 from repro.obs.history import (
     BENCH_SCHEMA,
     RECORD_FIELDS,
@@ -267,7 +269,8 @@ def _bench_stack_distance_sweep(
 def _bench_probe_throughput(
     rng: np.random.Generator, n_rects: int, n_queries: int
 ) -> dict:
-    """The instrumented metrics-probe simulation, grid vs dense."""
+    """The instrumented metrics-probe simulation (``level_stats=True``,
+    no registry or trace ring), grid vs dense."""
     rects = _node_like_rects(rng, n_rects)
     capacity = 100 if n_rects >= 20_000 else 25
     desc = pack_description(rects, capacity, "hs")
@@ -280,20 +283,16 @@ def _bench_probe_throughput(
         n_batches=n_batches,
         batch_size=batch_size,
         warmup_queries=2048,
-        trace_last=8,
+        level_stats=True,
         rng=seed,
     )
 
     started = time.perf_counter()
-    fast = simulate(
-        desc, workload, registry=MetricsRegistry(), accel="auto", **kwargs
-    )
+    fast = simulate(desc, workload, accel="auto", **kwargs)
     seconds = time.perf_counter() - started
 
     started = time.perf_counter()
-    dense = simulate(
-        desc, workload, registry=MetricsRegistry(), accel="dense", **kwargs
-    )
+    dense = simulate(desc, workload, accel="dense", **kwargs)
     dense_seconds = time.perf_counter() - started
 
     if not _same_result(fast, dense):

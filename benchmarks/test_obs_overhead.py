@@ -1,9 +1,9 @@
 """Benchmark guard: the observability paths cost ~nothing per request.
 
-Pytest-benchmark cases time a short ``simulate()`` without and with a
-:class:`~repro.obs.MetricsRegistry` (per-level counters built from
-each chunk's page and miss arrays), and with the span tracer disabled,
-enabled, and stubbed out entirely.  Run with::
+Pytest-benchmark cases time a short ``simulate()`` without and with
+``level_stats=True`` (per-level counters built from each chunk's page
+and miss arrays), and with the span tracer disabled, enabled, and
+stubbed out entirely.  Run with::
 
     pytest benchmarks/test_obs_overhead.py --benchmark-only
 
@@ -13,20 +13,20 @@ so tier-1 enforces them without the benchmark plugin's orchestration).
 
 from __future__ import annotations
 
-from repro.obs import NULL_SPAN, MetricsRegistry, Tracer, use_tracer
+from repro.obs import NULL_SPAN, Tracer, use_tracer
 from repro.queries import UniformPointWorkload
 from repro.simulation import simulate
 from tests.obs.test_levels import two_level_description
 
 
-def _simulate(registry=None):
+def _simulate(level_stats=False):
     return simulate(
         two_level_description(),
         UniformPointWorkload(),
         buffer_size=2,
         n_batches=2,
         batch_size=2000,
-        registry=registry,
+        level_stats=level_stats,
     )
 
 
@@ -34,15 +34,15 @@ def _simulate_once() -> float:
     return _simulate().node_accesses.mean
 
 
-def test_simulate_no_registry(benchmark):
+def test_simulate_bare(benchmark):
     result = benchmark(_simulate)
     assert result.level_stats is None
 
 
-def test_simulate_with_registry(benchmark):
-    result = benchmark(lambda: _simulate(MetricsRegistry()))
+def test_simulate_with_level_stats(benchmark):
+    result = benchmark(lambda: _simulate(level_stats=True))
     assert result.level_stats is not None
-    # identical behaviour: the registry only counts
+    # identical behaviour: the per-level table only counts
     assert [s.as_dict() for s in result.batch_stats] == [
         s.as_dict() for s in _simulate().batch_stats
     ]

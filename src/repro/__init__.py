@@ -42,13 +42,7 @@ from .datasets import (
     tiger_like,
 )
 from .geometry import GeometryError, Rect, RectArray, mbr_of, unit_rect
-from .obs import (
-    LevelStats,
-    LevelStatsTable,
-    MetricsRegistry,
-    QueryTrace,
-    QueryTraceEntry,
-)
+from .obs import LevelStats, LevelStatsTable
 from .model import (
     BufferModelResult,
     buffer_model,
@@ -111,11 +105,8 @@ __all__ = [
     "LRUBuffer",
     "LevelStats",
     "LevelStatsTable",
-    "MetricsRegistry",
     "MixedWorkload",
     "PinningError",
-    "QueryTrace",
-    "QueryTraceEntry",
     "QueryResult",
     "QueryWorkload",
     "RStarTree",

@@ -5,9 +5,9 @@ buffer pool and therefore no per-level counters to export.  A *probe*
 is a small instrumented simulation run alongside an experiment with a
 representative configuration — same data set family, node capacity
 and query model as the experiment, smoke-sized batch budget — whose
-per-level hit/miss/eviction breakdown, per-batch counters, and query
-trace populate the ``simulation`` section of the experiment's metrics
-document (see ``docs/OBSERVABILITY.md``).
+per-level hit/miss/eviction breakdown and per-batch counters populate
+the ``simulation`` section of the experiment's metrics document (see
+``docs/OBSERVABILITY.md``).
 
 Probes deliberately use the fast bulk loaders (HS) rather than TAT so
 that ``--metrics-out`` adds seconds, not minutes, to a run; the tree
@@ -22,7 +22,7 @@ from typing import Any, Callable
 
 from ..geometry import RectArray
 from ..model import buffer_model
-from ..obs import MetricsRegistry, SLOMonitor, TelemetrySink
+from ..obs import SLOMonitor, TelemetrySink
 from ..queries import (
     DataDrivenWorkload,
     UniformPointWorkload,
@@ -163,16 +163,14 @@ simulated in a single stack-distance pass."""
 
 def run_probe(
     spec: ProbeSpec,
-    registry: MetricsRegistry,
     *,
     n_batches: int = 5,
     batch_size: int = 2_000,
-    trace_last: int = 8,
 ) -> tuple[SimulationResult, dict[str, Any]]:
     """Run one instrumented probe simulation.
 
     Returns the :class:`~repro.simulation.SimulationResult` (with
-    ``level_stats``, ``batch_stats`` and ``trace`` populated) and the
+    ``level_stats`` and ``batch_stats`` populated) and the
     probe-configuration mapping destined for the document's
     ``simulation.probe`` field.  Deterministic: the simulator's
     default seed and the cached data sets pin every random stream.
@@ -186,8 +184,7 @@ def run_probe(
         pinned_levels=spec.pinned_levels,
         n_batches=n_batches,
         batch_size=batch_size,
-        registry=registry,
-        trace_last=trace_last,
+        level_stats=True,
     )
     probe = {**asdict(spec), "n_batches": n_batches, "batch_size": batch_size}
     return result, probe
@@ -195,7 +192,6 @@ def run_probe(
 
 def run_sweep_probe(
     spec: SweepProbeSpec,
-    registry: MetricsRegistry | None = None,
     *,
     n_batches: int = 5,
     batch_size: int = 2_000,
@@ -217,7 +213,6 @@ def run_sweep_probe(
         n_batches=n_batches,
         batch_size=batch_size,
         warmup_queries=spec.warmup_queries,
-        registry=registry,
     )
     probe = {**asdict(spec), "n_batches": n_batches, "batch_size": batch_size}
     return results, probe
@@ -275,7 +270,6 @@ the Zipfian-keyed hot-set skew over pinned levels."""
 
 def run_serve_probe(
     spec: ServeProbeSpec,
-    registry: MetricsRegistry | None = None,
     *,
     shards: int = 1,
     telemetry_out: str | None = None,
@@ -361,19 +355,4 @@ def run_serve_probe(
         service.close()
     if sink is not None:
         telemetry_ptr = sink.pointer()
-    if registry is not None:
-        registry.counter("serving.queries").inc(report.queries)
-        registry.counter("serving.batches").inc(report.batches)
-        registry.counter("serving.misses").inc(
-            report.buffer_aggregate["misses"]
-        )
-        registry.gauge("serving.shards").set(report.shards)
-        registry.gauge("serving.throughput_qps").set(report.throughput_qps)
-        registry.gauge("serving.p99_us").set(
-            report.latency_summary_us["p99"]
-        )
-        if telemetry_ptr is not None:
-            registry.gauge("serving.telemetry_ticks").set(
-                telemetry_ptr["ticks"]
-            )
     return report, {**asdict(spec), "shards": shards}, telemetry_ptr

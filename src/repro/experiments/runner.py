@@ -8,9 +8,9 @@ Those and ``REPRO_SERVE_SHARDS`` are validated before the first
 experiment starts; a malformed value is a usage error (exit 2).
 
 ``--metrics-out PATH`` additionally writes one ``repro-metrics`` JSON
-document per experiment — its result data, wall-clock timing, and an
-instrumented probe simulation's per-level buffer breakdown and query
-trace (see ``docs/OBSERVABILITY.md`` for the schema).
+document per experiment — its result data, its wall-clock timing and
+each probe's, and an instrumented probe simulation's per-level buffer
+breakdown (see ``docs/OBSERVABILITY.md`` for the schema).
 
 ``--trace-out PATH`` installs a process-wide span tracer for the whole
 run: one root span per experiment, nested phase spans from the
@@ -27,11 +27,11 @@ from __future__ import annotations
 import argparse
 import sys
 import time
+from contextlib import contextmanager
 from pathlib import Path
-from typing import Callable
+from typing import Callable, Iterator
 
 from ..obs import (
-    MetricsRegistry,
     Profiler,
     Tracer,
     experiment_document,
@@ -296,6 +296,22 @@ def _telemetry_path(
     return str(path.with_name(f"{path.stem}-{name}{path.suffix}"))
 
 
+@contextmanager
+def _timed_probe(probe: str, experiment: str) -> Iterator[dict[str, float]]:
+    """Run one probe under its ``experiment.<probe>`` span; the yielded
+    timer row gets the probe's wall time on exit.
+
+    Timed with ``time.perf_counter``, like the experiment's own
+    ``wall_seconds``: spans record only under a tracer, and the
+    document carries the probe times either way.
+    """
+    timer = {"total_seconds": 0.0, "count": 1}
+    with span(f"experiment.{probe}", experiment=experiment):
+        start = time.perf_counter()
+        yield timer
+        timer["total_seconds"] = time.perf_counter() - start
+
+
 def _collect_metrics(
     name: str,
     result: object,
@@ -305,35 +321,27 @@ def _collect_metrics(
     shards: int = 1,
     telemetry_out: str | None = None,
 ) -> dict[str, object]:
-    """Build one metrics document, running the experiment's probe."""
-    registry = MetricsRegistry()
+    """Build one metrics document, running the experiment's probes."""
+    timers: dict[str, dict[str, float]] = {}
     simulation = None
     spec = METRICS_PROBES.get(name)
     if spec is not None:
-        with span("experiment.probe", experiment=name):
-            with registry.timer("probe.wall"):
-                sim_result, probe = run_probe(spec, registry)
+        with _timed_probe("probe", name) as timers["probe.wall"]:
+            sim_result, probe = run_probe(spec)
         simulation = simulation_section(sim_result, probe)
     sweep = None
     sweep_spec = SWEEP_PROBES.get(name)
     if sweep_spec is not None:
-        with span("experiment.sweep_probe", experiment=name):
-            with registry.timer("sweep_probe.wall"):
-                sweep_results, sweep_probe = run_sweep_probe(
-                    sweep_spec, registry
-                )
+        with _timed_probe("sweep_probe", name) as timers["sweep_probe.wall"]:
+            sweep_results, sweep_probe = run_sweep_probe(sweep_spec)
         sweep = sweep_section(sweep_results, sweep_probe)
     serving = None
     serve_spec = SERVE_PROBES.get(name) if serve else None
     if serve_spec is not None:
-        with span("experiment.serve_probe", experiment=name):
-            with registry.timer("serve_probe.wall"):
-                load_report, serve_probe, telemetry_ptr = run_serve_probe(
-                    serve_spec,
-                    registry,
-                    shards=shards,
-                    telemetry_out=telemetry_out,
-                )
+        with _timed_probe("serve_probe", name) as timers["serve_probe.wall"]:
+            load_report, serve_probe, telemetry_ptr = run_serve_probe(
+                serve_spec, shards=shards, telemetry_out=telemetry_out
+            )
         serving = serving_section(
             load_report, serve_probe, telemetry=telemetry_ptr
         )
@@ -345,7 +353,7 @@ def _collect_metrics(
         simulation=simulation,
         sweep=sweep,
         serving=serving,
-        registry=registry,
+        timers=timers,
         trace=trace_out,
     )
 

@@ -1,16 +1,13 @@
-"""Observability: metrics registry, per-level buffer stats, traces.
+"""Observability: per-level buffer stats, latency, telemetry, spans.
 
 The paper's thesis is that one aggregate number (node accesses) hides
 the behaviour that decides performance (which pages the buffer
 serves).  This package applies the same lesson to the reproduction
 itself:
 
-* :class:`MetricsRegistry` — named counters / gauges / timers;
 * :class:`LevelStatsTable` — per-level request/hit/miss/eviction
   counters built from each chunk's page and miss arrays, levels
   resolved via ``TreeDescription.level_offsets``;
-* :class:`QueryTrace` — a ring buffer of the last K queries' touched
-  node ids and miss sets;
 * :class:`LatencyRecorder` — a thread-safe per-query latency
   reservoir with exact nearest-rank percentiles and a log-spaced
   histogram, feeding the serving engine's ``serving`` export section;
@@ -29,10 +26,10 @@ itself:
 * :mod:`repro.obs.history` — the ``BENCH_history.jsonl`` benchmark
   ledger and regression gate behind ``tools/bench_history.py``.
 
-Everything here is optional and stays off the per-request path: a
-registry adds a few array operations per chunk of queries, and
-``tests/obs/test_overhead.py`` holds ``simulate()`` with a registry
-within a constant of ``simulate()`` without one; with no tracer
+Everything here is optional and stays off the per-request path: the
+per-level table adds a few array operations per chunk of queries, and
+``tests/obs/test_overhead.py`` holds ``simulate(..., level_stats=True)``
+within a constant of a bare ``simulate()``; with no tracer
 installed, :func:`span` hands back a shared no-op singleton, which
 the same file and ``benchmarks/test_obs_overhead.py`` hold to the
 same standard.
@@ -66,7 +63,6 @@ from .history import (
 from .latency import LatencyRecorder
 from .levels import LevelStats, LevelStatsTable
 from .profile import AllocationSite, Profiler
-from .registry import Counter, Gauge, MetricsRegistry, Timer
 from .spans import (
     NULL_SPAN,
     Span,
@@ -89,22 +85,16 @@ from .telemetry import (
     read_telemetry,
     validate_telemetry,
 )
-from .trace import QueryTrace, QueryTraceEntry
 
 __all__ = [
     "AllocationSite",
     "Comparison",
-    "Counter",
-    "Gauge",
     "LatencyRecorder",
     "LevelStats",
     "LevelStatsTable",
     "MetricDelta",
-    "MetricsRegistry",
     "NULL_SPAN",
     "Profiler",
-    "QueryTrace",
-    "QueryTraceEntry",
     "SCHEMA_NAME",
     "SCHEMA_VERSION",
     "SLOMonitor",
@@ -112,7 +102,6 @@ __all__ = [
     "SpanNode",
     "TELEMETRY_SCHEMA",
     "TelemetrySink",
-    "Timer",
     "Tracer",
     "append_entry",
     "chrome_trace",

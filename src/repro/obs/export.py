@@ -39,13 +39,15 @@ __all__ = [
 ]
 
 SCHEMA_NAME = "repro-metrics"
-SCHEMA_VERSION = 2
-"""Version 2 adds the optional per-document ``trace`` pointer: the
-path of the Chrome-trace JSON written by ``--trace-out`` in the same
-run (``null`` when tracing was off).  Version-1 documents remain
-readable — the field is simply absent."""
+SCHEMA_VERSION = 3
+"""Version 3 drops ``metrics.counters``, ``metrics.gauges`` and
+``simulation.trace``: ``metrics`` holds only the runner's probe
+``timers``, since the counters repeated the sections' own totals.
+Version 2 added the optional per-document ``trace`` pointer (the path
+of the Chrome-trace JSON written by ``--trace-out``).  Version-1 and
+version-2 documents remain readable."""
 
-_SUPPORTED_VERSIONS = (1, 2)
+_SUPPORTED_VERSIONS = (1, 2, 3)
 
 _LEVEL_SUM_KEYS = ("requests", "hits", "misses", "evictions")
 _BATCH_KEYS = ("requests", "hits", "misses", "evictions")
@@ -103,8 +105,8 @@ def _estimate_dict(estimate: Any) -> dict[str, Any]:
 
 def simulation_section(result: Any, probe: Mapping[str, Any]) -> dict[str, Any]:
     """The ``simulation`` section of a document, from a
-    :class:`~repro.simulation.SimulationResult` produced with a
-    registry attached (``level_stats`` must be populated).
+    :class:`~repro.simulation.SimulationResult` produced with
+    ``level_stats=True`` (``level_stats`` must be populated).
 
     ``probe`` records the configuration the simulation ran with
     (dataset, loader, buffer size, ...), verbatim.
@@ -112,7 +114,7 @@ def simulation_section(result: Any, probe: Mapping[str, Any]) -> dict[str, Any]:
     if result.level_stats is None:
         raise ValueError(
             "simulation_section needs a result with per-level stats; "
-            "pass registry= to simulate()"
+            "pass level_stats=True to simulate()"
         )
     per_level = [row.as_dict() for row in result.level_stats]
     per_batch = [stats.as_dict() for stats in result.batch_stats]
@@ -130,7 +132,6 @@ def simulation_section(result: Any, probe: Mapping[str, Any]) -> dict[str, Any]:
         "node_accesses": _estimate_dict(result.node_accesses),
         "warmup_queries": int(result.warmup_queries),
         "buffer_filled": bool(result.buffer_filled),
-        "trace": [entry.as_dict() for entry in result.trace],
     }
 
 
@@ -235,10 +236,10 @@ def experiment_document(
     simulation: Mapping[str, Any] | None = None,
     sweep: Mapping[str, Any] | None = None,
     serving: Mapping[str, Any] | None = None,
-    registry: Any | None = None,
+    timers: Mapping[str, Mapping[str, float]] | None = None,
     trace: str | None = None,
 ) -> dict[str, Any]:
-    """One schema-v2 document for a completed experiment.
+    """One schema-v3 document for a completed experiment.
 
     ``result`` is the experiment's result object (model predictions
     and simulated means, whatever the experiment produces), sanitised
@@ -247,9 +248,10 @@ def experiment_document(
     :func:`sweep_section` (multi-capacity probe); ``serving`` an
     optional :func:`serving_section` (open-loop load-test; like
     ``sweep`` it is added without a version bump — adding fields is
-    backward compatible); ``registry``
-    an optional :class:`~repro.obs.registry.MetricsRegistry` whose
-    contents are exported under ``"metrics"``; ``trace`` an optional
+    backward compatible); ``timers`` an optional mapping of timer
+    name to ``{"total_seconds", "count"}`` (the runner's probe wall
+    times), exported under ``"metrics"`` as ``{"timers": ...}`` with
+    names sorted; ``trace`` an optional
     pointer (a path) to the Chrome-trace JSON covering this run,
     written by ``repro-experiments --trace-out``.
     """
@@ -266,7 +268,11 @@ def experiment_document(
         "simulation": dict(simulation) if simulation is not None else None,
         "sweep": dict(sweep) if sweep is not None else None,
         "serving": dict(serving) if serving is not None else None,
-        "metrics": registry.to_dict() if registry is not None else None,
+        "metrics": (
+            {"timers": dict(sorted(timers.items()))}
+            if timers is not None
+            else None
+        ),
         "trace": str(trace) if trace is not None else None,
     }
     return document
@@ -286,11 +292,13 @@ def metrics_report(
 
 
 def validate_document(document: Mapping[str, Any]) -> None:
-    """Raise ``ValueError`` if ``document`` is not schema-v1 valid.
+    """Raise ``ValueError`` if ``document`` is not valid under its
+    schema version.
 
     Beyond shape checks, enforces the accounting invariant: per-level
     requests/hits/misses/evictions sum exactly to the aggregate
-    totals, and the per-batch rows sum to the same aggregate.
+    totals, and the per-batch rows sum to the same aggregate.  A v3
+    ``metrics`` block must hold only ``timers``.
     """
     if document.get("schema") != SCHEMA_NAME:
         raise ValueError(f"not a {SCHEMA_NAME} document")
@@ -308,6 +316,9 @@ def validate_document(document: Mapping[str, Any]) -> None:
     trace = document.get("trace")
     if trace is not None and not isinstance(trace, str):
         raise ValueError("trace must be a path string or null")
+    metrics = document.get("metrics")
+    if document["schema_version"] >= 3 and metrics is not None:
+        _validate_timers(metrics)
     simulation = document.get("simulation")
     if simulation is not None:
         _validate_simulation(simulation)
@@ -317,6 +328,21 @@ def validate_document(document: Mapping[str, Any]) -> None:
     serving = document.get("serving")
     if serving is not None:
         _validate_serving(serving)
+
+
+def _validate_timers(metrics: Any) -> None:
+    if not isinstance(metrics, Mapping) or set(metrics) != {"timers"}:
+        raise ValueError("v3 metrics must hold exactly one key, 'timers'")
+    for name, timer in metrics["timers"].items():
+        if not (
+            isinstance(timer, Mapping)
+            and isinstance(timer.get("total_seconds"), (int, float))
+            and isinstance(timer.get("count"), int)
+        ):
+            raise ValueError(
+                f"timer {name!r} needs numeric total_seconds and an "
+                "integer count"
+            )
 
 
 def _validate_simulation(simulation: Mapping[str, Any]) -> None:
@@ -511,7 +537,8 @@ def _validate_serving_telemetry(
 
 
 def validate_report(report: Mapping[str, Any]) -> None:
-    """Raise ``ValueError`` if ``report`` is not a valid v1 report."""
+    """Raise ``ValueError`` if ``report`` or any of its documents is
+    not valid."""
     if report.get("schema") != SCHEMA_NAME:
         raise ValueError(f"not a {SCHEMA_NAME} report")
     if report.get("schema_version") not in _SUPPORTED_VERSIONS:

@@ -1,6 +1,6 @@
 """Span-based tracing: where wall-clock time goes inside a run.
 
-The metrics registry (PR 2) answers *what happened* — per-level hits,
+The metrics document answers *what happened* — per-level hits,
 counters, sum invariants.  This module answers *where time went*: a
 :class:`Tracer` records nested, attributed spans around the phases of
 an experiment (runner → simulate → batch → buffer loop; model

@@ -127,6 +127,7 @@ class QueryService:
             raise ValueError(f"pinned_levels must be in [0, {desc.height}]")
         self.desc = desc
         self.workload = workload
+        self._point_shape = (desc.dim,)
         self.max_batch = int(max_batch)
         self.max_wait_us = float(max_wait_us)
         self._batch_limit = max(1, self.max_batch)
@@ -248,8 +249,21 @@ class QueryService:
         ``arrival_ns`` defaults to now; an open-loop load generator
         passes the *scheduled* arrival instead, so queueing delay from
         a lagging submit loop is charged to latency, not hidden.
+
+        Raises :class:`~repro.geometry.GeometryError` for a point whose
+        shape is not ``(desc.dim,)``, before it is queued: a dispatcher
+        could not stab it, and ``drain`` would wait for it forever.
         """
         point = np.asarray(point, dtype=np.float64)
+        if point.shape != self._point_shape:
+            # The layering DAG (RL008) keeps geometry out of serving's
+            # top-level imports; the error type loads only when raised.
+            from ..geometry import GeometryError
+
+            raise GeometryError(
+                f"a query point must have shape {self._point_shape}, "
+                f"not {point.shape}"
+            )
         if arrival_ns is None:
             arrival_ns = time.perf_counter_ns()
         with self._cond:

@@ -20,15 +20,14 @@ returns per-query candidate id lists in CSR form.  The flat id array
 of a chunk *is* its page stream (query order, ascending within each
 query), so the buffer serves it with one ``request_batch`` call.  Both
 backends produce byte-identical id sequences (ascending = level-major
-= top-down), so traces, per-level counters and measured statistics do
-not depend on the backend.
+= top-down), so per-level counters and measured statistics do not
+depend on the backend.
 
 Observability: measurement batches are bracketed by
 ``BufferStats.reset()`` so every batch's counters are independent
-(``SimulationResult.batch_stats``), and passing a
-:class:`~repro.obs.MetricsRegistry` adds per-level counters, built
-from each chunk's page and miss arrays — see
-``docs/OBSERVABILITY.md``.  The buffer loop is the same either way.
+(``SimulationResult.batch_stats``), and ``level_stats=True`` adds
+per-level counters, built from each chunk's page and miss arrays —
+see ``docs/OBSERVABILITY.md``.  The buffer loop is the same either way.
 Phase times come from spans: when a process-wide tracer is installed
 (``repro.obs.use_tracer``) the phases emit nested spans — simulate →
 warmup/measure → per-batch → sample/stab/buffer loop — at chunk
@@ -44,7 +43,7 @@ import numpy as np
 
 from ..accel import make_stabber
 from ..buffer import BufferPool, BufferStats, POLICIES
-from ..obs import LevelStats, LevelStatsTable, MetricsRegistry, QueryTrace, QueryTraceEntry
+from ..obs import LevelStats, LevelStatsTable
 from ..obs.spans import span
 from ..queries.mixed import MixedWorkload
 from ..rtree import TreeDescription
@@ -73,11 +72,8 @@ class SimulationResult:
     excluded); each batch's counters are snapshot then reset."""
     level_stats: tuple[LevelStats, ...] | None = None
     """Per-tree-level request/hit/miss/eviction/pin-hit counters over
-    the whole measurement window; ``None`` unless ``simulate`` was
-    given a registry."""
-    trace: tuple[QueryTraceEntry, ...] = ()
-    """The last ``trace_last`` queries' touched node ids and miss
-    sets; empty unless tracing was requested."""
+    the whole measurement window; ``None`` unless ``simulate`` ran
+    with ``level_stats=True``."""
 
     @property
     def hit_ratio(self) -> float:
@@ -100,8 +96,7 @@ def simulate(
     policy: str = "lru",
     confidence: float = 0.90,
     rng: np.random.Generator | int | None = None,
-    registry: MetricsRegistry | None = None,
-    trace_last: int = 0,
+    level_stats: bool = False,
     accel: str = "auto",
 ) -> SimulationResult:
     """Simulate the buffer and measure disk accesses per query.
@@ -122,25 +117,20 @@ def simulate(
         Batch-means measurement parameters (the paper uses 20 batches;
         its batch size of 10⁶ is configurable here for runtime).
     warmup_queries:
-        Queries run before measurement.  ``None`` (default) warms up
-        until the buffer first fills, capped at ``warmup_cap`` — the
-        moment the model's steady-state approximation refers to.
+        Queries run before measurement (non-negative).  ``None``
+        (default) warms up until the buffer first fills, capped at
+        ``warmup_cap`` — the moment the model's steady-state
+        approximation refers to.
     policy:
         Replacement policy name (``lru``, ``fifo``, ``clock``,
         ``random``); the paper's model targets LRU.
     rng:
         Seed or generator for query sampling (default: seed 0).
-    registry:
-        Optional :class:`~repro.obs.MetricsRegistry`.  When given, a
-        :class:`~repro.obs.LevelStatsTable` counts the measurement
-        window's requests per tree level (levels resolved via
-        ``desc.level_offsets``), and the aggregate measurement-window
-        counters land in ``buffer.*`` counters.  The result then
-        carries ``level_stats``.  The phases are timed by the
-        ``simulate.warmup`` / ``simulate.measure`` spans.
-    trace_last:
-        Retain the last this-many queries' touched node ids and miss
-        sets on ``SimulationResult.trace`` (0 disables tracing).
+    level_stats:
+        When true, a :class:`~repro.obs.LevelStatsTable` counts the
+        measurement window's requests per tree level (levels resolved
+        via ``desc.level_offsets``) and the result carries
+        ``level_stats``.  Off by default: it adds array work per chunk.
     accel:
         Containment backend: ``"auto"`` (grid index for large rect
         sets, dense below the size threshold), ``"grid"``, or
@@ -153,8 +143,8 @@ def simulate(
         raise ValueError("batch_size must be positive")
     if warmup_cap < 0:
         raise ValueError("warmup_cap must be non-negative")
-    if trace_last < 0:
-        raise ValueError("trace_last must be non-negative")
+    if warmup_queries is not None and warmup_queries < 0:
+        raise ValueError("warmup_queries must be non-negative")
     if not 0 <= pinned_levels <= desc.height:
         raise ValueError(f"pinned_levels must be in [0, {desc.height}]")
     if rng is None or isinstance(rng, int):
@@ -188,12 +178,7 @@ def simulate(
         pinned_ids = range(desc.level_offsets[pinned_levels])
         buffer = _make_buffer(policy, buffer_size, pinned_ids, rng)
 
-        levels = (
-            LevelStatsTable(desc.level_offsets)
-            if registry is not None
-            else None
-        )
-        trace = QueryTrace(trace_last) if trace_last > 0 else None
+        levels = LevelStatsTable(desc.level_offsets) if level_stats else None
 
         # --------------------------------------------------------------
         # Warm-up: reach the state the model's steady-state estimate
@@ -204,7 +189,7 @@ def simulate(
             for step in _warmup_schedule(warmup_queries, warmup_cap):
                 if warmup_queries is None and buffer.is_full():
                     break
-                _run_queries(buffer, stabber, workload, rng, step, trace)
+                _run_queries(buffer, stabber, workload, rng, step)
                 warmed += step
         buffer_filled = buffer.is_full()
 
@@ -227,8 +212,7 @@ def simulate(
                     while remaining > 0:
                         step = min(_CHUNK, remaining)
                         _run_queries(
-                            buffer, stabber, workload, rng, step, trace,
-                            levels,
+                            buffer, stabber, workload, rng, step, levels
                         )
                         remaining -= step
                 snapshot = buffer.stats.snapshot()
@@ -237,17 +221,6 @@ def simulate(
                 access_means.append(snapshot.requests / batch_size)
                 buffer.stats.reset()
 
-    if registry is not None:
-        totals = _sum_stats(batch_snapshots)
-        registry.counter("buffer.requests").inc(totals.requests)
-        registry.counter("buffer.hits").inc(totals.hits)
-        registry.counter("buffer.misses").inc(totals.misses)
-        registry.counter("buffer.evictions").inc(totals.evictions)
-        registry.gauge("buffer.capacity").set(buffer_size)
-        registry.gauge("buffer.pinned_pages").set(len(buffer.pinned))
-        registry.gauge("sim.batches").set(n_batches)
-        registry.gauge("sim.batch_size").set(batch_size)
-
     return SimulationResult(
         disk_accesses=batch_means(miss_means, confidence=confidence),
         node_accesses=batch_means(access_means, confidence=confidence),
@@ -255,7 +228,6 @@ def simulate(
         buffer_filled=buffer_filled,
         batch_stats=tuple(batch_snapshots),
         level_stats=levels.snapshot(buffer) if levels is not None else None,
-        trace=trace.entries() if trace is not None else (),
     )
 
 
@@ -305,17 +277,6 @@ def _warmup_schedule(warmup_queries: int | None, warmup_cap: int) -> list[int]:
     return [min(_CHUNK, total - done) for done in range(0, total, _CHUNK)]
 
 
-def _sum_stats(snapshots: list[BufferStats]) -> BufferStats:
-    """Column sums over per-batch snapshots."""
-    totals = BufferStats()
-    for snapshot in snapshots:
-        totals.requests += snapshot.requests
-        totals.hits += snapshot.hits
-        totals.misses += snapshot.misses
-        totals.evictions += snapshot.evictions
-    return totals
-
-
 def _make_buffer(
     policy: str,
     buffer_size: int,
@@ -339,7 +300,6 @@ def _run_queries(
     workload,
     rng: np.random.Generator,
     count: int,
-    trace: QueryTrace | None = None,
     levels: LevelStatsTable | None = None,
 ) -> None:
     """Run ``count`` queries through the buffer.
@@ -354,8 +314,7 @@ def _run_queries(
     i.e. top-down, matching a recursive traversal's request order.
     The chunk's flat id array is handed to the buffer in one
     ``request_batch`` call, whose miss positions feed ``levels``
-    (per-level counters) and ``trace`` (the last queries' touched ids
-    and miss sets, located through the CSR ``indptr``) when given.
+    (per-level counters) when given.
 
     Spans are emitted per *chunk* (this function runs once per
     ``_CHUNK`` queries), never per query or per request, so the
@@ -364,19 +323,16 @@ def _run_queries(
     """
     if isinstance(workload, MixedWorkload):
         with span("simulate.stab", queries=count, mixed=True):
-            ids, indptr = _mixed_pages(stabber, workload, rng, count)
+            ids, _ = _mixed_pages(stabber, workload, rng, count)
     else:
         with span("simulate.sample", queries=count):
             points = workload.sample_points(count, rng)
         with span("simulate.stab", queries=count):
-            sparse = stabber.stab(points)
-            ids, indptr = sparse.ids, sparse.indptr
+            ids = stabber.stab(points).ids
     with span("simulate.buffer_loop", queries=count):
         missed = buffer.request_batch(ids)
         if levels is not None:
             levels.record(ids, missed)
-        if trace is not None:
-            trace.record_chunk(ids, indptr, missed)
 
 
 def _mixed_pages(

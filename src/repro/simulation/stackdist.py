@@ -86,7 +86,6 @@ import numpy as np
 
 from ..accel import segmented_left_rank
 from ..buffer import BufferStats, PinningError, POLICIES
-from ..obs import MetricsRegistry
 from ..obs.spans import span
 from ..queries.mixed import MixedWorkload
 from ..rtree import TreeDescription
@@ -129,7 +128,6 @@ def simulate_sweep(
     policy: str = "lru",
     confidence: float = 0.90,
     rng: int | None = None,
-    registry: MetricsRegistry | None = None,
 ) -> tuple[SimulationResult, ...]:
     """Simulate every buffer size in one pass over one query stream.
 
@@ -160,12 +158,11 @@ def simulate_sweep(
         A seed (or ``None`` for the default seed 0).  A live
         ``Generator`` is rejected — per-capacity equivalence requires
         replaying the stream from a known seed.
-    registry:
-        When given, the sweep records ``sweep.*`` and ``sim.*`` gauges
-        (the ``simulate.sweep`` span times it).  Per-level sinks and
-        query traces are a per-capacity affair — use
-        :func:`~repro.simulation.simulate` (e.g. the metrics probes)
-        when you need ``level_stats``.
+
+    The ``simulate.sweep`` span times the sweep.  Per-level counters
+    are a per-capacity affair — use :func:`~repro.simulation.simulate`
+    with ``level_stats=True`` (as the metrics probes do) when you need
+    them.
 
     Raises :class:`~repro.buffer.PinningError` when any swept size
     cannot hold the pinned levels — filter infeasible sizes first
@@ -180,6 +177,8 @@ def simulate_sweep(
         raise ValueError("batch_size must be positive")
     if warmup_cap < 0:
         raise ValueError("warmup_cap must be non-negative")
+    if warmup_queries is not None and warmup_queries < 0:
+        raise ValueError("warmup_queries must be non-negative")
     if not 0 <= pinned_levels <= desc.height:
         raise ValueError(f"pinned_levels must be in [0, {desc.height}]")
     if policy not in POLICIES:
@@ -248,11 +247,6 @@ def simulate_sweep(
                 )
                 for b in buffer_sizes
             )
-    if registry is not None:
-        registry.gauge("sweep.capacities").set(len(buffer_sizes))
-        registry.gauge("sweep.pinned_pages").set(pinned_count)
-        registry.gauge("sim.batches").set(n_batches)
-        registry.gauge("sim.batch_size").set(batch_size)
     return results
 
 

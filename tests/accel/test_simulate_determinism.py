@@ -2,7 +2,7 @@
 
 The accel layer must be invisible in the results — the same seed must
 produce an *identical* :class:`SimulationResult` whether containment
-runs on the grid index or the dense matrix, down to trace entries and
+runs on the grid index or the dense matrix, down to per-level and
 per-batch buffer counters.
 """
 
@@ -26,7 +26,7 @@ def assert_identical_results(result_a, result_b) -> None:
     assert result_a.node_accesses == result_b.node_accesses
     assert result_a.warmup_queries == result_b.warmup_queries
     assert result_a.buffer_filled == result_b.buffer_filled
-    assert result_a.trace == result_b.trace
+    assert result_a.level_stats == result_b.level_stats
     assert len(result_a.batch_stats) == len(result_b.batch_stats)
     for stats_a, stats_b in zip(result_a.batch_stats, result_b.batch_stats):
         assert stats_a.requests == stats_b.requests
@@ -37,7 +37,7 @@ def assert_identical_results(result_a, result_b) -> None:
 
 def run_both(desc, workload, **kwargs):
     common = dict(
-        buffer_size=20, n_batches=3, batch_size=300, trace_last=5, rng=7
+        buffer_size=20, n_batches=3, batch_size=300, level_stats=True, rng=7
     )
     common.update(kwargs)
     grid = simulate(desc, workload, accel="grid", **common)
@@ -81,11 +81,11 @@ class TestSeedDeterminism:
         workload = UniformRegionWorkload((0.05, 0.05))
         first = simulate(
             desc, workload, buffer_size=20,
-            n_batches=3, batch_size=300, trace_last=5, rng=7, accel="auto",
+            n_batches=3, batch_size=300, level_stats=True, rng=7, accel="auto",
         )
         second = simulate(
             desc, workload, buffer_size=20,
-            n_batches=3, batch_size=300, trace_last=5, rng=7, accel="auto",
+            n_batches=3, batch_size=300, level_stats=True, rng=7, accel="auto",
         )
         assert_identical_results(first, second)
 

@@ -21,7 +21,7 @@ from repro.experiments.probes import (
 )
 from repro.experiments.runner import EXPERIMENTS, METAS, main
 from repro.model import buffer_model
-from repro.obs import MetricsRegistry, load_report, read_telemetry
+from repro.obs import SCHEMA_VERSION, load_report, read_telemetry
 from repro.queries import UniformPointWorkload
 
 TINY_PROBE = ProbeSpec("point", 400, 10, "hs", "uniform-point", 10)
@@ -60,19 +60,17 @@ class TestProbes:
         assert set(METAS) == set(EXPERIMENTS)
 
     def test_run_probe_produces_instrumented_result(self):
-        registry = MetricsRegistry()
-        result, probe = run_probe(
-            TINY_PROBE, registry, n_batches=2, batch_size=200, trace_last=3
-        )
+        result, probe = run_probe(TINY_PROBE, n_batches=2, batch_size=200)
         assert result.level_stats is not None
-        assert len(result.trace) == 3
+        assert sum(row.requests for row in result.level_stats) == sum(
+            stats.requests for stats in result.batch_stats
+        )
         assert probe["dataset"] == "point" and probe["batch_size"] == 200
-        assert "buffer.requests" in registry.to_dict()["counters"]
 
     def test_unknown_workload_rejected(self):
         bad = ProbeSpec("point", 400, 10, "hs", "nope", 10)
         with pytest.raises(ValueError, match="unknown probe workload"):
-            run_probe(bad, MetricsRegistry())
+            run_probe(bad)
 
     def test_sweep_probe_mapping(self):
         spec = SweepProbeSpec(
@@ -109,6 +107,13 @@ class TestMetricsOut:
         assert doc["wall_seconds"] >= 0.0
         probe = doc["simulation"]["probe"]
         assert (probe["n_batches"], probe["batch_size"]) == (5, 2000)
+        assert doc["schema_version"] == SCHEMA_VERSION == 3
+        # metrics holds only the probe timers; fig5 has no sweep probe
+        assert list(doc["metrics"]) == ["timers"]
+        assert list(doc["metrics"]["timers"]) == ["probe.wall"]
+        timer = doc["metrics"]["timers"]["probe.wall"]
+        assert timer["count"] == 1 and timer["total_seconds"] > 0.0
+        assert "trace" not in doc["simulation"]
 
     def test_per_level_sums_match_aggregate(self, tmp_path, stub_experiment):
         path = tmp_path / "out.json"
@@ -144,16 +149,13 @@ class TestServeMode:
         assert SERVE_PROBES  # at least one experiment is served
 
     def test_run_serve_probe_produces_report(self):
-        registry = MetricsRegistry()
-        report, probe, telemetry = run_serve_probe(TINY_SERVE_PROBE, registry)
+        report, probe, telemetry = run_serve_probe(TINY_SERVE_PROBE)
         assert report.queries == 150
         assert report.shards == 1
+        assert report.latency_summary_us["p99"] > 0
         assert probe["dataset"] == "point"
         assert probe["shards"] == 1
         assert telemetry is None  # off by default
-        metrics = registry.to_dict()
-        assert metrics["counters"]["serving.queries"] == 150
-        assert metrics["gauges"]["serving.p99_us"] > 0
 
     def test_serve_honours_shard_env(
         self, tmp_path, stub_experiment, monkeypatch
@@ -217,6 +219,9 @@ class TestServeMode:
         path = tmp_path / "out.json"
         assert main(["--serve", "--metrics-out", str(path), "fig5"]) == 0
         (doc,) = load_report(path)["documents"]  # validates on load
+        assert list(doc["metrics"]["timers"]) == [
+            "probe.wall", "serve_probe.wall",
+        ]
         serving = doc["serving"]
         assert serving is not None
         assert serving["queries"] == 150
@@ -280,6 +285,30 @@ class TestTelemetryOut:
         assert (tmp_path / "telemetry-fig5.jsonl").exists()
         assert (tmp_path / "telemetry-fig6.jsonl").exists()
         assert not stream.exists()
+
+
+class TestPerfbenchContract:
+    def test_check_report_adds_probe_timers(self, tmp_path):
+        # perfbench's reproduce_all times each artefact as its run plus
+        # its probe and sweep-probe timers; Fig. 11 has both probes.
+        from perfbench.reproduce import check_report
+
+        path = tmp_path / "metrics.json"
+        assert main(["fig11", "--metrics-out", str(path)]) == 0
+        failures, failed, artefact_s, _ = check_report(
+            path, ["fig11"], {"sim_batches": 2, "sim_queries": 100}, None
+        )
+        assert failures == [] and failed == set()
+        (doc,) = load_report(path)["documents"]
+        timers = doc["metrics"]["timers"]
+        probes = (
+            timers["probe.wall"]["total_seconds"]
+            + timers["sweep_probe.wall"]["total_seconds"]
+        )
+        assert probes > 0.0
+        assert artefact_s["fig11"] == pytest.approx(
+            doc["wall_seconds"] + probes
+        )
 
 
 class TestModuleInvocation:

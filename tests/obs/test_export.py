@@ -9,7 +9,6 @@ import pytest
 from repro.obs import (
     SCHEMA_NAME,
     SCHEMA_VERSION,
-    MetricsRegistry,
     experiment_document,
     load_report,
     metrics_report,
@@ -30,13 +29,13 @@ class _FakeResult:
     sizes: tuple
 
 
-def instrumented_result(registry=None, **overrides):
-    kwargs = dict(buffer_size=1, n_batches=3, batch_size=200, trace_last=4)
+def instrumented_result(**overrides):
+    kwargs = dict(buffer_size=1, n_batches=3, batch_size=200)
     kwargs.update(overrides)
     return simulate(
         two_level_description(),
         UniformPointWorkload(),
-        registry=registry if registry is not None else MetricsRegistry(),
+        level_stats=True,
         **kwargs,
     )
 
@@ -78,26 +77,56 @@ class TestSimulationSection:
                 row[key] for row in section["per_batch"]
             )
         assert section["probe"] == {"dataset": "x"}
-        assert len(section["trace"]) == 4
+        assert "trace" not in section
 
 
 class TestDocumentValidation:
     def make_document(self):
-        registry = MetricsRegistry()
-        section = simulation_section(
-            instrumented_result(registry), {"dataset": "x"}
-        )
+        section = simulation_section(instrumented_result(), {"dataset": "x"})
         return experiment_document(
             name="fake",
             meta={"title": "Fake", "source": "Fig. 0"},
             result=_FakeResult(curves={}, sizes=(1,)),
             wall_seconds=0.25,
             simulation=section,
-            registry=registry,
+            timers={
+                "sweep_probe.wall": {"total_seconds": 0.5, "count": 1},
+                "probe.wall": {"total_seconds": 0.25, "count": 1},
+            },
         )
 
     def test_valid_document_passes(self):
-        validate_document(self.make_document())
+        doc = self.make_document()
+        validate_document(doc)
+        assert list(doc["metrics"]["timers"]) == [
+            "probe.wall", "sweep_probe.wall",
+        ]
+
+    @pytest.mark.parametrize(
+        "metrics",
+        [
+            {"timers": {}, "counters": {}},
+            {"timers": {"probe.wall": {"total_seconds": "1"}}},
+            {"timers": {"probe.wall": {"total_seconds": 1.0, "count": 1.0}}},
+        ],
+        ids=["extra-key", "bad-seconds", "bad-count"],
+    )
+    def test_v3_metrics_hold_only_timers(self, metrics):
+        doc = self.make_document()
+        doc["metrics"] = metrics
+        with pytest.raises(ValueError):
+            validate_document(doc)
+
+    def test_v2_document_with_counters_still_loads(self):
+        doc = self.make_document()
+        doc["schema_version"] = 2
+        doc["metrics"] = {
+            "counters": {"buffer.requests": 3},
+            "gauges": {"sim.batches": 3},
+            "timers": {},
+        }
+        doc["simulation"]["trace"] = []
+        validate_document(doc)
 
     def test_wrong_schema_rejected(self):
         doc = self.make_document()

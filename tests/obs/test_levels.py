@@ -5,7 +5,7 @@ import pytest
 
 from repro.buffer import LRUBuffer
 from repro.geometry import Rect
-from repro.obs import LevelStatsTable, MetricsRegistry
+from repro.obs import LevelStatsTable
 from repro.queries import UniformPointWorkload
 from repro.rtree import TreeDescription
 from repro.simulation import simulate
@@ -116,11 +116,10 @@ class TestChunkAttribution:
 class TestSimulateAttribution:
     def test_two_level_tree_hand_counts(self):
         desc = two_level_description()
-        registry = MetricsRegistry()
         n_batches, batch_size = 4, 500
         result = simulate(
             desc, UniformPointWorkload(), buffer_size=3,
-            n_batches=n_batches, batch_size=batch_size, registry=registry,
+            n_batches=n_batches, batch_size=batch_size, level_stats=True,
         )
         root, leaves = result.level_stats
         queries = n_batches * batch_size
@@ -136,49 +135,43 @@ class TestSimulateAttribution:
 
     def test_pinned_root_counted_as_pin_hits(self):
         desc = two_level_description()
-        registry = MetricsRegistry()
         result = simulate(
             desc, UniformPointWorkload(), buffer_size=2, pinned_levels=1,
-            n_batches=2, batch_size=300, registry=registry,
+            n_batches=2, batch_size=300, level_stats=True,
         )
         root = result.level_stats[0]
         assert root.pin_hits == root.requests == root.hits == 600
 
     def test_per_level_sums_match_aggregate_batch_stats(self):
         desc = two_level_description()
-        registry = MetricsRegistry()
         result = simulate(
             desc, UniformPointWorkload(), buffer_size=1,
-            n_batches=3, batch_size=400, registry=registry,
+            n_batches=3, batch_size=400, level_stats=True,
         )
         for column in ("requests", "hits", "misses", "evictions"):
             level_sum = sum(getattr(row, column) for row in result.level_stats)
             batch_sum = sum(getattr(s, column) for s in result.batch_stats)
             assert level_sum == batch_sum
-        exported = registry.to_dict()["counters"]
-        assert exported["buffer.requests"] == sum(
-            s.requests for s in result.batch_stats
-        )
 
-    def test_registry_changes_nothing(self):
+    def test_level_stats_change_nothing(self):
         desc = two_level_description()
-        kwargs = dict(buffer_size=2, n_batches=3, batch_size=400, trace_last=3)
+        kwargs = dict(buffer_size=2, n_batches=3, batch_size=400)
         plain = simulate(desc, UniformPointWorkload(), **kwargs)
         counted = simulate(
-            desc, UniformPointWorkload(), registry=MetricsRegistry(), **kwargs
+            desc, UniformPointWorkload(), level_stats=True, **kwargs
         )
         assert [s.as_dict() for s in plain.batch_stats] == [
             s.as_dict() for s in counted.batch_stats
         ]
         assert plain.disk_accesses == counted.disk_accesses
-        assert plain.trace == counted.trace
+        assert plain.node_accesses == counted.node_accesses
+        assert plain.warmup_queries == counted.warmup_queries
 
-    def test_no_registry_leaves_result_bare(self):
+    def test_default_leaves_result_bare(self):
         desc = two_level_description()
         result = simulate(
             desc, UniformPointWorkload(), buffer_size=3,
             n_batches=2, batch_size=100,
         )
         assert result.level_stats is None
-        assert result.trace == ()
         assert len(result.batch_stats) == 2

@@ -1,8 +1,8 @@
 """Guard: instrumentation stays off the per-request path.
 
-A registry adds per-level counters built from each chunk's page and
-miss arrays (a few numpy calls per 4096 queries), never a call per
-buffer request; a disabled tracer hands back one shared no-op span per
+``level_stats=True`` adds per-level counters built from each chunk's
+page and miss arrays (a few numpy calls per 4096 queries), never a
+call per buffer request; a disabled tracer hands back one shared no-op span per
 phase or chunk.  These tests keep both claims honest with a coarse
 timing ratio — deliberately generous bounds so the guard never flakes
 on a loaded CI machine while still catching per-request work leaking
@@ -13,7 +13,7 @@ loop).  The finer-grained benchmark lives in
 
 import timeit
 
-from repro.obs import NULL_SPAN, MetricsRegistry
+from repro.obs import NULL_SPAN
 from repro.obs.spans import span as module_span
 from repro.queries import UniformPointWorkload
 from repro.simulation import simulate
@@ -36,15 +36,15 @@ def _simulate_seconds(make_kwargs) -> float:
     )
 
 
-def test_registry_simulate_overhead_is_bounded():
+def test_level_stats_simulate_overhead_is_bounded():
     bare = _simulate_seconds(dict)
-    counted = _simulate_seconds(lambda: {"registry": MetricsRegistry()})
-    # Per-chunk array accounting plus a handful of registry writes per
-    # run: the real ratio is close to 1x, while a per-request sink
-    # call or level lookup would cost a multiple of the bare loop.
+    counted = _simulate_seconds(lambda: {"level_stats": True})
+    # Per-chunk array accounting: the real ratio is close to 1x, while
+    # a per-request sink call or level lookup would cost a multiple of
+    # the bare loop.
     assert counted <= 2.0 * bare + 1e-3, (
-        f"registry overhead too high: bare={bare:.6f}s "
-        f"registry={counted:.6f}s"
+        f"level_stats overhead too high: bare={bare:.6f}s "
+        f"level_stats={counted:.6f}s"
     )
 
 

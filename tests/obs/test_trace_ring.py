@@ -1,8 +1,7 @@
-"""Ring-buffer wraparound and export round-trips.
+"""Span-trace export round-trips.
 
-Complements ``tests/obs/test_trace.py`` (basic retention/order) with
-deeper wraparound cases and the full export loop: a simulated run's
-query trace and span tree must survive a dump/parse round-trip intact.
+A simulated run's span tree must survive a Chrome-trace dump/parse
+round-trip intact, with its run attributes and nesting.
 """
 
 import json
@@ -10,7 +9,6 @@ import json
 import pytest
 
 from repro.obs import (
-    QueryTrace,
     Tracer,
     chrome_trace,
     parse_chrome_trace,
@@ -23,42 +21,6 @@ from repro.simulation import simulate
 from tests.obs.test_levels import two_level_description
 
 
-class TestRingWraparound:
-    def test_capacity_one_keeps_only_last(self):
-        trace = QueryTrace(1)
-        for i in range(100):
-            trace.record([0, i], [i])
-        assert trace.total_recorded == 100
-        assert len(trace) == 1
-        (entry,) = trace.entries()
-        assert entry.index == 99
-        assert entry.touched == (0, 99)
-
-    def test_many_wraps_preserve_order_and_content(self):
-        capacity = 7
-        trace = QueryTrace(capacity)
-        total = capacity * 13 + 3  # lands mid-ring after many wraps
-        for i in range(total):
-            trace.record([i], [i] if i % 2 else [])
-        entries = trace.entries()
-        assert len(entries) == capacity
-        expected = list(range(total - capacity, total))
-        assert [e.index for e in entries] == expected
-        for e in entries:
-            assert e.touched == (e.index,)
-            assert e.missed == ((e.index,) if e.index % 2 else ())
-
-    def test_entries_snapshot_is_stable(self):
-        trace = QueryTrace(3)
-        trace.record([1], [])
-        snapshot = trace.entries()
-        trace.record([2], [])
-        trace.record([3], [])
-        trace.record([4], [])
-        assert [e.index for e in snapshot] == [0]
-        assert [e.index for e in trace.entries()] == [1, 2, 3]
-
-
 class TestExportRoundTrips:
     @pytest.fixture
     def traced_run(self):
@@ -66,28 +28,19 @@ class TestExportRoundTrips:
         tracer = Tracer()
         previous = use_tracer(tracer)
         try:
-            result = simulate(
+            simulate(
                 two_level_description(),
                 UniformPointWorkload(),
                 buffer_size=3,
                 n_batches=2,
                 batch_size=50,
-                trace_last=4,
             )
-            yield tracer, result
+            yield tracer
         finally:
             use_tracer(previous)
 
-    def test_query_trace_round_trips_through_as_dict(self, traced_run):
-        _, result = traced_run
-        dumped = json.loads(json.dumps([e.as_dict() for e in result.trace]))
-        assert [d["query"] for d in dumped] == [e.index for e in result.trace]
-        for d, e in zip(dumped, result.trace):
-            assert tuple(d["touched"]) == e.touched
-            assert tuple(d["missed"]) == e.missed
-
     def test_simulate_spans_round_trip(self, traced_run, tmp_path):
-        tracer, _ = traced_run
+        tracer = traced_run
         spans = tracer.finished()
         names = {s.name for s in spans}
         assert {"simulate", "simulate.measure", "simulate.batch"} <= names
@@ -102,7 +55,7 @@ class TestExportRoundTrips:
         assert batches == [0, 1]
 
     def test_root_span_carries_run_attributes(self, traced_run):
-        tracer, _ = traced_run
+        tracer = traced_run
         root = next(s for s in tracer.finished() if s.name == "simulate")
         assert root.parent_id is None
         assert root.attrs["buffer_size"] == 3
@@ -110,7 +63,7 @@ class TestExportRoundTrips:
         assert "backend" in root.attrs
 
     def test_chrome_trace_events_nest_within_root(self, traced_run):
-        tracer, _ = traced_run
+        tracer = traced_run
         payload = chrome_trace(tracer.finished())
         events = [e for e in payload["traceEvents"] if e["ph"] == "X"]
         root = next(e for e in events if e["name"] == "simulate")

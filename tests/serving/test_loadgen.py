@@ -2,9 +2,12 @@
 
 from __future__ import annotations
 
+import threading
+
 import numpy as np
 import pytest
 
+from repro.geometry import GeometryError
 from repro.packing import pack_description
 from repro.queries import UniformPointWorkload
 from repro.serving import LoadGenerator, LoadReport, QueryService, zipfian_weights
@@ -161,6 +164,32 @@ class TestRun:
             row["capacity"] for row in report.buffer_per_shard
         ] == capacities
         assert sum(capacities) == report.buffer_capacity
+
+    def test_malformed_key_points_raise_instead_of_hanging(self, desc):
+        # 3-D keys against a 2-D tree: the first submit must raise, not
+        # queue a point whose stab would stop the dispatcher.
+        service = make_service(desc)
+        generator = LoadGenerator(
+            service, rate_qps=10_000, n_queries=50,
+            key_points=np.zeros((10, 3)),
+        )
+        errors: list[Exception] = []
+
+        def play() -> None:
+            try:
+                generator.run()
+            except Exception as exc:
+                errors.append(exc)
+
+        service.start()
+        try:
+            player = threading.Thread(target=play, daemon=True)
+            player.start()
+            player.join(timeout=10.0)
+        finally:
+            service.stop()
+        assert not player.is_alive(), "the load generator hung"
+        assert len(errors) == 1 and isinstance(errors[0], GeometryError)
 
     def test_run_resets_measurement_window(self, desc):
         service = make_service(desc, max_batch=32)

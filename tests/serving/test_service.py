@@ -7,6 +7,7 @@ import time
 import numpy as np
 import pytest
 
+from repro.geometry import GeometryError
 from repro.packing import pack_description
 from repro.queries import (
     MixedWorkload,
@@ -174,6 +175,21 @@ class TestAsyncAdmission:
         try:
             with pytest.raises(RuntimeError):
                 service.start()
+        finally:
+            service.stop()
+
+    def test_submit_rejects_malformed_point(self, desc):
+        # A queued point the stabber cannot take would stop the
+        # dispatcher and leave every later drain() waiting forever.
+        service = QueryService(desc, UniformPointWorkload(), 10)
+        service.start()
+        try:
+            for point in (np.zeros(3), np.zeros((1, 2)), np.float64(0.5)):
+                with pytest.raises(GeometryError):
+                    service.submit(point)
+            service.submit(np.array([0.5, 0.5]))
+            service.drain()
+            assert service.queries_served == 1
         finally:
             service.stop()
 

@@ -109,6 +109,8 @@ class TestExactBehaviours:
             simulate(desc, w, 2, policy="mru")
         with pytest.raises(ValueError):
             simulate(desc, w, 2, pinned_levels=5)
+        with pytest.raises(ValueError, match="warmup_queries"):
+            simulate(desc, w, 2, warmup_queries=-5)
 
 
 class TestBatchStats:

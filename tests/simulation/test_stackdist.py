@@ -22,7 +22,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.buffer import PinningError
 from repro.geometry import RectArray
-from repro.obs import MetricsRegistry, Tracer, chrome_trace, use_tracer
+from repro.obs import Tracer, chrome_trace, use_tracer
 from repro.packing import pack_description
 from repro.queries import (
     DataDrivenWorkload,
@@ -410,11 +410,10 @@ class TestInclusionProperty:
 
 class TestObservability:
     def test_spans_and_metrics(self):
-        registry = MetricsRegistry()
         tracer = Tracer()
         previous = use_tracer(tracer)
         try:
-            simulate_sweep(
+            results = simulate_sweep(
                 _DESC,
                 UniformPointWorkload(),
                 (2, 8, 33),
@@ -422,7 +421,6 @@ class TestObservability:
                 batch_size=150,
                 warmup_queries=200,
                 rng=1,
-                registry=registry,
             )
         finally:
             use_tracer(previous)
@@ -436,9 +434,8 @@ class TestObservability:
         assert root.duration_ns > 0
         assert len(by_name["stackdist.capacity"]) == 3
         assert by_name["stackdist.stream"][0].attrs["queries"] > 0
-        metrics = registry.to_dict()
-        assert metrics["gauges"]["sweep.capacities"] == 3
-        assert metrics["timers"] == {}
+        assert len(results) == 3
+        assert all(len(r.batch_stats) == 2 for r in results)
 
     @pytest.mark.parametrize(
         "kwargs",
@@ -557,6 +554,7 @@ class TestValidation:
             dict(buffer_sizes=(4,), warmup_cap=-1),
             dict(buffer_sizes=(4,), policy="nonsense"),
             dict(buffer_sizes=(4,), pinned_levels=99),
+            dict(buffer_sizes=(4,), warmup_queries=-5),
         ],
     )
     def test_rejects_bad_parameters(self, kwargs):
