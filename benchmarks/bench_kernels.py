@@ -28,8 +28,8 @@ oracles on the two compute-dominant paths of the reproduction:
   per-query-loop p99 over the same points;
 * ``telemetry_overhead`` — identical batched serving runs with a live
   :class:`repro.obs.TelemetrySink` (background ticker streaming JSONL
-  to a scratch file) vs the None-default sink, asserted to produce
-  identical buffer counters.  ``speedup_vs_dense`` is
+  to a scratch file) vs no sink, asserted to produce identical
+  buffer counters.  ``speedup_vs_dense`` is
   disabled/enabled wall time — the observability tax, gated at
   <= 1.10x slowdown by ``tests/accel/test_bench_schema.py``.
 
@@ -438,7 +438,6 @@ def _bench_telemetry_overhead(
             sink = TelemetrySink(
                 service, interval_s=0.01, path=scratch.name
             )
-            service.telemetry = sink
             sink.start()
         arrivals = np.full(
             n_queries, time.perf_counter_ns(), dtype=np.int64

@@ -28,9 +28,9 @@ Mechanics:
   replaced with guards that assert ``self._lock`` is held during
   every mutation.  The telemetry sink
   (:class:`~repro.obs.telemetry.TelemetrySink`) gets the same
-  treatment: its sliding-window list mutates only inside the tick
+  treatment: its list of recent ticks mutates only inside the tick
   path, which must hold the sink lock — a tick that mutates the
-  window without it raises at the exact ``append``/``pop``.
+  list without it raises at the exact ``append``/``pop``.
 * **Lock guards** (sharded pool): a
   :class:`~repro.buffer.sharded.ShardedBufferPool` hands each shard's
   plain pool to *many* threads by design — the shard lock, not thread
@@ -271,21 +271,21 @@ def _patch_tracer(cls: type) -> None:
 
 
 def _patch_telemetry(cls: type) -> None:
-    """Replace the sink's sliding window with a lock-asserting list.
+    """Replace the sink's recent-tick list with a lock-asserting list.
 
-    The window is touched only by :meth:`TelemetrySink.
-    _build_tick_locked`, whose contract is "caller holds the sink
-    lock" — this patch turns that docstring contract into a runtime
-    check, exactly as for the tracer's containers.
+    The list is mutated only by :meth:`TelemetrySink.tick` under the
+    sink lock, and the derivation behind each tick's SLO input reads
+    it — this patch turns that contract into a runtime check, exactly
+    as for the tracer's containers.
     """
     original: Callable = cls.__init__
     _save(cls, "__init__")
 
     def __init__(self: Any, *args: Any, **kwargs: Any) -> None:
         original(self, *args, **kwargs)
-        window = _GuardedList(self._lock, "TelemetrySink._window_deltas")
-        list.extend(window, self._window_deltas)
-        self._window_deltas = window
+        recent = _GuardedList(self._lock, "TelemetrySink._recent")
+        list.extend(recent, self._recent)
+        self._recent = recent
 
     __init__.__wrapped__ = original  # type: ignore[attr-defined]
     cls.__init__ = __init__  # type: ignore[misc]

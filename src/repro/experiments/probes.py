@@ -340,7 +340,6 @@ def run_serve_probe(
                 "n_star": prediction.n_star,
             },
         )
-        service.telemetry = sink
     service.start()
     try:
         if sink is not None:

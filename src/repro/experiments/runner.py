@@ -16,10 +16,9 @@ breakdown (see ``docs/OBSERVABILITY.md`` for the schema).
 run: one root span per experiment, nested phase spans from the
 simulator, model, accel and packing layers, exported as Chrome
 trace-event JSON (drop the file on https://ui.perfetto.dev) plus a
-folded flamegraph text file at ``PATH`` + ``.folded`` (or
-``--trace-folded``).  ``--profile`` layers ``tracemalloc`` on top:
-spans gain ``mem_delta_kb`` tags and the export embeds a
-top-allocation-sites report under ``"profile"``.
+folded flamegraph text file at ``PATH`` + ``.folded``.  ``--profile``
+layers ``tracemalloc`` on top: spans gain ``mem_delta_kb`` tags and
+the export embeds a top-allocation-sites report under ``"profile"``.
 """
 
 from __future__ import annotations
@@ -118,15 +117,6 @@ def main(argv: list[str] | None = None) -> int:
         ),
     )
     parser.add_argument(
-        "--trace-folded",
-        metavar="PATH",
-        default=None,
-        help=(
-            "where to write the folded flamegraph text "
-            "(default: TRACE_OUT + '.folded')"
-        ),
-    )
-    parser.add_argument(
         "--serve",
         action="store_true",
         help=(
@@ -143,9 +133,9 @@ def main(argv: list[str] | None = None) -> int:
         default=None,
         help=(
             "with --serve: stream live serving telemetry "
-            "(repro-telemetry/1 JSONL, one line per 100 ms tick: "
-            "per-shard hit-ratio deltas, queue depth, windowed "
-            "percentiles, SLO burn) to PATH; with several experiments "
+            "(repro-telemetry/2 JSONL, one line per 100 ms tick: "
+            "per-shard counters, queue depth, latency percentiles, "
+            "SLO burn) to PATH; with several experiments "
             "the experiment name is inserted before the suffix; "
             "render with tools/serve_report.py"
         ),
@@ -239,7 +229,7 @@ def main(argv: list[str] | None = None) -> int:
             write_chrome_trace(
                 args.trace_out, tracer.finished(), profile=profile_report
             )
-            folded_path = args.trace_folded or args.trace_out + ".folded"
+            folded_path = args.trace_out + ".folded"
             write_folded(folded_path, tracer.finished())
             print(
                 f"[trace with {len(tracer)} span(s) written to "

@@ -13,9 +13,10 @@ itself:
   histogram, feeding the serving engine's ``serving`` export section;
 * :class:`TelemetrySink` / :class:`SLOMonitor` — live serving
   telemetry: fixed-interval sampling of a running ``QueryService``
-  into sliding windows (per-shard hit-ratio deltas, queue depth,
-  windowed percentiles), error-budget burn accounting, and the
-  streaming ``repro-telemetry/1`` JSONL format;
+  (per-shard counters, totals, queue depth, per-tick percentiles),
+  error-budget burn accounting, and the streaming
+  ``repro-telemetry/2`` JSONL format, whose deltas and windows
+  :func:`derive_ticks` derives;
 * :class:`Tracer` / :func:`span` — nested, attributed wall-clock spans
   with Chrome-trace (Perfetto) and folded-flamegraph exporters behind
   ``repro-experiments --trace-out``;
@@ -62,18 +63,15 @@ from .history import (
 )
 from .latency import LatencyRecorder
 from .levels import LevelStats, LevelStatsTable
-from .profile import AllocationSite, Profiler
+from .profile import Profiler
 from .spans import (
     NULL_SPAN,
     Span,
-    SpanNode,
     Tracer,
     chrome_trace,
     current_tracer,
     folded_stacks,
-    parse_chrome_trace,
     span,
-    span_tree,
     use_tracer,
     write_chrome_trace,
     write_folded,
@@ -82,12 +80,12 @@ from .telemetry import (
     TELEMETRY_SCHEMA,
     SLOMonitor,
     TelemetrySink,
+    derive_ticks,
     read_telemetry,
     validate_telemetry,
 )
 
 __all__ = [
-    "AllocationSite",
     "Comparison",
     "LatencyRecorder",
     "LevelStats",
@@ -99,7 +97,6 @@ __all__ = [
     "SCHEMA_VERSION",
     "SLOMonitor",
     "Span",
-    "SpanNode",
     "TELEMETRY_SCHEMA",
     "TelemetrySink",
     "Tracer",
@@ -107,6 +104,7 @@ __all__ = [
     "chrome_trace",
     "compare_reports",
     "current_tracer",
+    "derive_ticks",
     "experiment_document",
     "find_baseline",
     "folded_stacks",
@@ -114,12 +112,10 @@ __all__ = [
     "load_history",
     "load_report",
     "metrics_report",
-    "parse_chrome_trace",
     "read_telemetry",
     "serving_section",
     "simulation_section",
     "span",
-    "span_tree",
     "sweep_section",
     "use_tracer",
     "validate_bench_report",

@@ -50,6 +50,10 @@ version-2 documents remain readable."""
 _SUPPORTED_VERSIONS = (1, 2, 3)
 
 _LEVEL_SUM_KEYS = ("requests", "hits", "misses", "evictions")
+#: Stream schemas a ``serving.telemetry`` pointer may name: both keep
+#: the pointer's shape, so version 3 documents written before the
+#: stream's version 2 still load.
+_TELEMETRY_SCHEMAS = ("repro-telemetry/1", "repro-telemetry/2")
 _BATCH_KEYS = ("requests", "hits", "misses", "evictions")
 
 
@@ -498,7 +502,7 @@ def _validate_serving_telemetry(
     for key in ("schema", "ticks", "final"):
         if key not in telemetry:
             raise ValueError(f"serving telemetry block missing {key!r}")
-    if telemetry["schema"] != "repro-telemetry/1":
+    if telemetry["schema"] not in _TELEMETRY_SCHEMAS:
         raise ValueError(
             f"unsupported telemetry schema {telemetry['schema']!r}"
         )

@@ -61,6 +61,7 @@ class LatencyRecorder:
         self._lock = threading.Lock()
         self._chunks: list[np.ndarray] = []
         self._count = 0
+        self._resets = 0
 
     # ------------------------------------------------------------------
     # Recording (hot path)
@@ -88,26 +89,7 @@ class LatencyRecorder:
         with self._lock:
             self._chunks.clear()
             self._count = 0
-
-    def snapshot_and_reset(self) -> np.ndarray:
-        """Atomically take every sample and leave the recorder empty.
-
-        The windowed-sampling primitive: the telemetry sink calls this
-        once per tick to turn "samples since the last tick" into one
-        array.  The swap happens under the recording lock, so a
-        concurrent :meth:`record_many_ns` lands either entirely in
-        this snapshot or entirely in the next one — no chunk is ever
-        split or dropped (``tests/obs/test_latency.py`` soaks this
-        with concurrent writers).  Concatenation happens outside the
-        lock on the now-exclusively-owned chunk list.
-        """
-        with self._lock:
-            chunks = self._chunks
-            self._chunks = []
-            self._count = 0
-        if not chunks:
-            return np.empty(0, dtype=np.int64)
-        return np.concatenate(chunks)
+            self._resets += 1
 
     # ------------------------------------------------------------------
     # Reading
@@ -120,10 +102,32 @@ class LatencyRecorder:
 
     def samples_ns(self) -> np.ndarray:
         """All samples, recording order, as one int64 array (a copy)."""
+        return self.samples_since(None)[0]
+
+    def samples_since(
+        self, cursor: tuple[int, int] | None
+    ) -> tuple[np.ndarray, tuple[int, int]]:
+        """The samples recorded after ``cursor``, and the next cursor.
+
+        The incremental read the telemetry sink takes once per tick:
+        pass back the cursor the previous call returned (``None`` reads
+        everything).  After a :meth:`reset` the read restarts there, so
+        it returns exactly the samples recorded since the reset.  The
+        chunk list is sliced under the recording lock, so a concurrent
+        :meth:`record_many_ns` lands entirely in this read or entirely
+        in the next one — no chunk is ever split or dropped
+        (``tests/obs/test_latency.py`` soaks this with concurrent
+        writers).
+        """
         with self._lock:
-            if not self._chunks:
-                return np.empty(0, dtype=np.int64)
-            return np.concatenate(self._chunks)
+            start = 0
+            if cursor is not None and cursor[0] == self._resets:
+                start = cursor[1]
+            chunks = self._chunks[start:]
+            cursor = (self._resets, len(self._chunks))
+        if not chunks:
+            return np.empty(0, dtype=np.int64), cursor
+        return np.concatenate(chunks), cursor
 
     def percentile_us(self, q: float) -> float:
         """Nearest-rank percentile ``q`` (0 < q <= 100), microseconds."""

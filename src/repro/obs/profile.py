@@ -8,8 +8,8 @@ Spans say where wall-clock went; this module says where *memory* went.
   was open (the tracer's ``memory_probe`` hook);
 * :meth:`Profiler.report` renders a top-N-allocation-sites table
   (``file:line``, kilobytes, block count) plus the current/peak traced
-  totals, embedded under ``"profile"`` in the Chrome-trace export and
-  printed by the runner.
+  totals, embedded under ``"profile"`` in the ``repro-trace/1``
+  Chrome-trace export and printed by the runner.
 
 Profiling is strictly opt-in: ``tracemalloc`` slows allocation-heavy
 code by an integer factor, so nothing here is touched unless the user
@@ -19,31 +19,11 @@ passes ``--profile`` (or constructs a :class:`Profiler` directly).
 from __future__ import annotations
 
 import tracemalloc
-from dataclasses import dataclass
 from typing import Any
 
 from .spans import Tracer
 
-__all__ = ["AllocationSite", "PROFILE_SCHEMA", "Profiler"]
-
-PROFILE_SCHEMA = "repro-profile/1"
-"""Schema tag of :meth:`Profiler.report`'s payload."""
-
-
-@dataclass(frozen=True)
-class AllocationSite:
-    """One source line's live allocations at snapshot time."""
-
-    site: str
-    """``path/to/file.py:lineno`` of the allocating statement."""
-    kb: float
-    """Kilobytes currently allocated from this site."""
-    blocks: int
-    """Number of live allocation blocks from this site."""
-
-    def as_dict(self) -> dict[str, Any]:
-        """The site as a JSON-ready mapping."""
-        return {"site": self.site, "kb": self.kb, "blocks": self.blocks}
+__all__ = ["Profiler"]
 
 
 def _current_bytes() -> int:
@@ -93,10 +73,14 @@ class Profiler:
         tracer.memory_probe = _current_bytes
         self._attached.append(tracer)
 
-    def top_sites(self) -> tuple[AllocationSite, ...]:
-        """The ``top_n`` allocation sites by live size, largest first."""
+    def top_sites(self) -> list[dict[str, Any]]:
+        """The ``top_n`` allocation sites by live size, largest first.
+
+        Each row is ``{"site": "path/to/file.py:lineno", "kb": live
+        kilobytes, "blocks": live allocation blocks}``.
+        """
         if not tracemalloc.is_tracing():
-            return ()
+            return []
         snapshot = tracemalloc.take_snapshot().filter_traces(
             (
                 tracemalloc.Filter(False, tracemalloc.__file__),
@@ -107,13 +91,13 @@ class Profiler:
         for stat in snapshot.statistics("lineno")[: self.top_n]:
             frame = stat.traceback[0]
             sites.append(
-                AllocationSite(
-                    site=f"{frame.filename}:{frame.lineno}",
-                    kb=round(stat.size / 1024.0, 3),
-                    blocks=stat.count,
-                )
+                {
+                    "site": f"{frame.filename}:{frame.lineno}",
+                    "kb": round(stat.size / 1024.0, 3),
+                    "blocks": stat.count,
+                }
             )
-        return tuple(sites)
+        return sites
 
     def report(self) -> dict[str, Any]:
         """The JSON-ready profile payload (``"profile"`` in exports)."""
@@ -122,12 +106,11 @@ class Profiler:
         else:
             current = peak = 0
         return {
-            "schema": PROFILE_SCHEMA,
             "tracing": tracemalloc.is_tracing(),
             "current_kb": round(current / 1024.0, 3),
             "peak_kb": round(peak / 1024.0, 3),
             "top_n": self.top_n,
-            "top_allocations": [s.as_dict() for s in self.top_sites()],
+            "top_allocations": self.top_sites(),
         }
 
     def stop(self) -> None:

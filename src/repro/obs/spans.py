@@ -39,7 +39,6 @@ from __future__ import annotations
 import json
 import threading
 import time
-from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Callable, Iterable, Mapping
 
@@ -47,14 +46,11 @@ __all__ = [
     "NULL_SPAN",
     "Span",
     "TRACE_SCHEMA",
-    "SpanNode",
     "Tracer",
     "chrome_trace",
     "current_tracer",
     "folded_stacks",
-    "parse_chrome_trace",
     "span",
-    "span_tree",
     "use_tracer",
     "write_chrome_trace",
     "write_folded",
@@ -367,80 +363,8 @@ def chrome_trace(
     }
 
 
-@dataclass(frozen=True)
-class SpanNode:
-    """One parsed span from a Chrome-trace export.
-
-    ``attrs`` carries the original span attributes (``span_id`` /
-    ``parent_id`` are lifted out into fields), so a parsed tree
-    compares equal to the tree the exporter was fed.
-    """
-
-    span_id: int
-    parent_id: int | None
-    name: str
-    start_us: float
-    duration_us: float
-    thread_index: int
-    cpu_us: float = 0.0
-    attrs: Mapping[str, Any] = field(default_factory=dict)
-
-
-def parse_chrome_trace(payload: Mapping[str, Any]) -> tuple[SpanNode, ...]:
-    """Rebuild :class:`SpanNode` rows from a :func:`chrome_trace` dump.
-
-    Metadata events are skipped; rows come back in span-id order.
-    Raises ``ValueError`` on a payload without ``traceEvents`` or with
-    an event missing its ``span_id``.
-    """
-    events = payload.get("traceEvents")
-    if not isinstance(events, list):
-        raise ValueError("not a Chrome trace payload: missing traceEvents")
-    nodes: list[SpanNode] = []
-    for event in events:
-        if event.get("ph") != "X":
-            continue
-        args = dict(event.get("args", {}))
-        if "span_id" not in args:
-            raise ValueError(f"span event {event.get('name')!r} lacks span_id")
-        span_id = int(args.pop("span_id"))
-        parent = args.pop("parent_id", None)
-        cpu_us = args.pop("cpu_us", 0.0)
-        nodes.append(
-            SpanNode(
-                span_id=span_id,
-                parent_id=None if parent is None else int(parent),
-                name=str(event["name"]),
-                start_us=float(event["ts"]),
-                duration_us=float(event["dur"]),
-                thread_index=int(event.get("tid", 0)),
-                cpu_us=float(cpu_us),
-                attrs=args,
-            )
-        )
-    nodes.sort(key=lambda n: n.span_id)
-    return tuple(nodes)
-
-
-def span_tree(
-    nodes: Iterable[Span] | Iterable[SpanNode],
-) -> dict[int | None, tuple[int, ...]]:
-    """Parent id → child span ids (children in id order).
-
-    Works on live :class:`Span` objects and parsed :class:`SpanNode`
-    rows alike, so an export round-trip can assert tree equality:
-    ``span_tree(tracer.finished()) == span_tree(parse_chrome_trace(p))``.
-    """
-    tree: dict[int | None, list[int]] = {}
-    for node in nodes:
-        tree.setdefault(node.parent_id, []).append(node.span_id)
-    return {
-        parent: tuple(sorted(children)) for parent, children in tree.items()
-    }
-
-
 def folded_stacks(
-    spans: Iterable[Span] | Iterable[SpanNode], *, metric: str = "wall"
+    spans: Iterable[Span], *, metric: str = "wall"
 ) -> list[str]:
     """Spans as folded flamegraph lines: ``root;child;leaf <self-µs>``.
 
@@ -458,18 +382,18 @@ def folded_stacks(
     if metric not in ("wall", "cpu"):
         raise ValueError(f"unknown metric {metric!r}; choices: wall, cpu")
     rows = list(spans)
-    by_id: dict[int, Any] = {}
-    child_ns: dict[int, float] = {}
-    for row in rows:
-        by_id[row.span_id] = row
+    by_id = {row.span_id: row for row in rows}
+    child_ns: dict[int, int] = {}
     for row in rows:
         if row.parent_id is not None and row.parent_id in by_id:
-            child_ns[row.parent_id] = child_ns.get(row.parent_id, 0.0) + _dur_ns(row, metric)
+            child_ns[row.parent_id] = (
+                child_ns.get(row.parent_id, 0) + _dur_ns(row, metric)
+            )
 
     totals: dict[str, int] = {}
     for row in rows:
         path: list[str] = []
-        cursor: Any | None = row
+        cursor: Span | None = row
         seen: set[int] = set()
         while cursor is not None and cursor.span_id not in seen:
             seen.add(cursor.span_id)
@@ -477,17 +401,14 @@ def folded_stacks(
             parent = cursor.parent_id
             cursor = by_id.get(parent) if parent is not None else None
         stack = ";".join(reversed(path))
-        self_ns = max(_dur_ns(row, metric) - child_ns.get(row.span_id, 0.0), 0.0)
+        self_ns = max(_dur_ns(row, metric) - child_ns.get(row.span_id, 0), 0)
         totals[stack] = totals.get(stack, 0) + int(self_ns // 1000)
     return [f"{stack} {value}" for stack, value in sorted(totals.items())]
 
 
-def _dur_ns(row: Any, metric: str = "wall") -> float:
-    """Wall or CPU nanoseconds for a :class:`Span` or :class:`SpanNode`."""
-    if isinstance(row, SpanNode):
-        us = row.cpu_us if metric == "cpu" else row.duration_us
-        return us * 1000.0
-    return float(row.cpu_ns if metric == "cpu" else row.duration_ns)
+def _dur_ns(row: Span, metric: str) -> int:
+    """Wall or CPU nanoseconds of a span."""
+    return row.cpu_ns if metric == "cpu" else row.duration_ns
 
 
 def write_chrome_trace(

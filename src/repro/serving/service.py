@@ -4,7 +4,8 @@ One service instance owns the three pieces the batch simulator keeps
 implicit: the stabber(s) built over the workload's transformed MBRs
 (shared code: :func:`repro.simulation.build_stabbers`), a
 :class:`~repro.buffer.ShardedBufferPool`, and a
-:class:`~repro.obs.LatencyRecorder`.
+:class:`~repro.obs.LatencyRecorder` (``latency``), which a telemetry
+sink reads between its ticks.
 
 Two entry points share one serving core (:meth:`QueryService.process`
 → ``_serve_batch``):
@@ -18,7 +19,9 @@ Two entry points share one serving core (:meth:`QueryService.process`
   the earlier of ``max_batch`` pending queries or ``max_wait_us``
   after the *oldest* pending query arrived, then serves it.  ``drain``
   blocks until the queue and all in-flight batches are empty; ``stop``
-  flushes what remains and joins the threads.
+  flushes what remains and joins the threads.  A batch that raises
+  stops the service: ``drain`` raises the failure and ``submit``
+  refuses further queries.
 
 Queries are *points* in the workload's transformed space — exactly
 what the simulator feeds its stabbers; region queries arrive already
@@ -85,16 +88,6 @@ class QueryService:
     expected_queries:
         Work hint forwarded to ``make_stabber`` (grid promotion for
         large runs; never changes results).
-    latency:
-        Optional shared :class:`~repro.obs.LatencyRecorder`; one is
-        created when omitted.
-    telemetry:
-        Optional duck-typed telemetry sink (see
-        :class:`repro.obs.TelemetrySink`); when set, every served
-        micro-batch calls ``telemetry.observe_batch(latencies_ns)``
-        (None when the caller passed no arrivals).  One branch per
-        micro-batch, zero cost when absent.  Also settable as a plain
-        attribute after construction.
     """
 
     def __init__(
@@ -110,8 +103,6 @@ class QueryService:
         pinned_levels: int = 0,
         accel: str = "auto",
         expected_queries: int = 0,
-        latency: LatencyRecorder | None = None,
-        telemetry=None,
     ) -> None:
         if isinstance(workload, MixedWorkload):
             raise ValueError(
@@ -142,17 +133,18 @@ class QueryService:
             policy=policy,
             pinned=range(desc.level_offsets[pinned_levels]),
         )
-        self.latency = latency if latency is not None else LatencyRecorder()
-        self.telemetry = telemetry
+        self.latency = LatencyRecorder()
 
         self._totals_lock = threading.Lock()
         self._queries = 0
         self._batches = 0
+        self._resets = 0
 
         self._cond = threading.Condition()
         self._pending: deque[tuple[np.ndarray, int]] = deque()
         self._inflight = 0
         self._running = False
+        self._error: Exception | None = None
         self._threads: list[threading.Thread] = []
 
     # ------------------------------------------------------------------
@@ -174,17 +166,12 @@ class QueryService:
             # the pool is the same stream the per-row loop produced,
             # and lets the pool partition it once per batch.
             self.pool.request_batch(sparse.ids)
-            latencies_ns = None
             if arrivals_ns is not None:
                 done = time.perf_counter_ns()
-                latencies_ns = done - arrivals_ns
-                self.latency.record_many_ns(latencies_ns)
+                self.latency.record_many_ns(done - arrivals_ns)
         with self._totals_lock:
             self._queries += len(points)
             self._batches += 1
-        telemetry = self.telemetry
-        if telemetry is not None:
-            telemetry.observe_batch(latencies_ns)
 
     def process(
         self,
@@ -225,10 +212,14 @@ class QueryService:
             return self._running
 
     def start(self, workers: int = 1) -> None:
-        """Spawn ``workers`` dispatcher threads consuming the queue."""
+        """Spawn ``workers`` dispatcher threads consuming the queue.
+
+        Raises ``RuntimeError`` on a service stopped by a failed batch.
+        """
         if workers < 1:
             raise ValueError("need at least one worker")
         with self._cond:
+            self._raise_failure()
             if self._running:
                 raise RuntimeError("service already started")
             self._running = True
@@ -252,7 +243,8 @@ class QueryService:
 
         Raises :class:`~repro.geometry.GeometryError` for a point whose
         shape is not ``(desc.dim,)``, before it is queued: a dispatcher
-        could not stab it, and ``drain`` would wait for it forever.
+        could not stab it.  Raises ``RuntimeError`` when the service is
+        not running, or has stopped on a failed batch.
         """
         point = np.asarray(point, dtype=np.float64)
         if point.shape != self._point_shape:
@@ -267,19 +259,38 @@ class QueryService:
         if arrival_ns is None:
             arrival_ns = time.perf_counter_ns()
         with self._cond:
-            if not self._running:
+            if not self._running or self._error is not None:
+                self._raise_failure()
                 raise RuntimeError("service not started")
             self._pending.append((point, int(arrival_ns)))
             self._cond.notify_all()
 
     def drain(self) -> None:
-        """Block until the queue and all in-flight batches are empty."""
+        """Block until the queue and all in-flight batches are empty.
+
+        Raises ``RuntimeError``, chained to the batch's exception, as
+        soon as a dispatcher has failed: the queries still queued would
+        never be served.
+        """
         with self._cond:
-            while self._pending or self._inflight:
+            while (self._pending or self._inflight) and self._error is None:
                 self._cond.wait()
+            self._raise_failure()
+
+    def _raise_failure(self) -> None:
+        """Raise the dispatcher failure, if any; caller holds ``_cond``."""
+        if self._error is not None:
+            raise RuntimeError(
+                "the query service stopped: a micro-batch failed"
+            ) from self._error
 
     def stop(self) -> None:
-        """Flush remaining queries, then join the dispatcher threads."""
+        """Flush remaining queries, then join the dispatcher threads.
+
+        After a failed batch the dispatchers have already returned and
+        the queued queries stay unserved; ``stop`` still joins them and
+        returns, so a caller's ``finally`` block runs.
+        """
         with self._cond:
             self._running = False
             self._cond.notify_all()
@@ -311,43 +322,53 @@ class QueryService:
         A batch closes at the earlier of ``max_batch`` pending queries
         or ``max_wait_us`` after the oldest pending query arrived.
         After :meth:`stop`, whatever is queued is flushed without
-        waiting on the deadline.
+        waiting on the deadline.  A batch that raises is kept as the
+        service's failure: every dispatcher returns, and every waiter
+        wakes to it.
         """
         while True:
             with self._cond:
-                while not self._pending and self._running:
+                while (
+                    not self._pending
+                    and self._running
+                    and self._error is None
+                ):
                     self._cond.wait()
-                if not self._pending:
-                    if not self._running:
-                        return
-                    continue
+                if not self._pending or self._error is not None:
+                    return
                 if self._running and len(self._pending) < self._batch_limit:
                     deadline = self._pending[0][1] + self._wait_ns
                     while (
                         self._running
                         and self._pending
                         and len(self._pending) < self._batch_limit
+                        and self._error is None
                     ):
                         now = time.perf_counter_ns()
                         if now >= deadline:
                             break
                         self._cond.wait((deadline - now) / 1e9)
-                    if not self._pending:
-                        # Another dispatcher took the whole queue while
-                        # we slept on the deadline.
+                    if not self._pending or self._error is not None:
+                        # Another dispatcher took the whole queue, or
+                        # failed, while we slept on the deadline.
                         continue
                 take = min(self._batch_limit, len(self._pending))
                 batch = [self._pending.popleft() for _ in range(take)]
                 self._inflight += 1
+            error = None
             try:
                 points = np.stack([point for point, _ in batch])
                 arrivals = np.asarray(
                     [arrival for _, arrival in batch], dtype=np.int64
                 )
                 self._serve_batch(points, arrivals)
+            except Exception as exc:
+                error = exc
             finally:
                 with self._cond:
                     self._inflight -= 1
+                    if self._error is None:
+                        self._error = error
                     self._cond.notify_all()
 
     # ------------------------------------------------------------------
@@ -362,6 +383,16 @@ class QueryService:
     def batches_served(self) -> int:
         with self._totals_lock:
             return self._batches
+
+    @property
+    def resets(self) -> int:
+        """How many times :meth:`reset_measurement` has run.
+
+        A telemetry sink records it each tick: where it changes, the
+        counters restarted from zero.
+        """
+        with self._totals_lock:
+            return self._resets
 
     @property
     def queue_depth(self) -> int:
@@ -387,8 +418,11 @@ class QueryService:
         """
         if self.running:
             self.drain()
-        self.pool.reset_stats()
+        # One critical section with the count, so a sampler that reads
+        # the count before and after its sample sees any reset between.
         with self._totals_lock:
+            self.pool.reset_stats()
             self._queries = 0
             self._batches = 0
-        self.latency.reset()
+            self.latency.reset()
+            self._resets += 1

@@ -1,10 +1,10 @@
 """Single-pass multi-capacity LRU simulation via Mattson stack distances.
 
-A buffer-size sweep (fig6 / fig9 / fig11, Table 1, ``validate_model``)
-replays the same query stream once per buffer size; since the stabbing
-side went sparse (PR 3) the per-request Python LRU loop in
-:mod:`repro.simulation.engine` dominates, and the sweep pays it ``K``
-times for ``K`` capacities.  Mattson's *inclusion property* removes
+A buffer-size sweep (Table 1, the ``--metrics-out`` sweep probes of
+Table 1 and Figs. 6, 9 and 11, ``validate_model``) replays the same
+query stream once per buffer size; the per-request Python LRU loop in
+:mod:`repro.simulation.engine` dominates it, and the sweep pays it
+``K`` times for ``K`` capacities.  Mattson's *inclusion property* removes
 the ``K``: an LRU buffer of capacity ``C`` always holds the ``C`` most
 recently used distinct pages, so a single offline pass that computes
 each access's **stack distance** — the number of distinct pages
@@ -131,11 +131,13 @@ def simulate_sweep(
 ) -> tuple[SimulationResult, ...]:
     """Simulate every buffer size in one pass over one query stream.
 
-    This is the engine behind every buffer-sensitivity curve of the
-    paper — Fig. 6 (buffer size vs. disk accesses), Fig. 9 (loader
-    comparison) and Fig. 11 (pinning levels), plus the Table 1 probes
-    and the analytic-model validation — all of which sweep the same
-    workload over many buffer capacities.
+    This is the engine behind every simulated buffer-size sweep:
+    Table 1's measured column, the ``--metrics-out`` sweep probes
+    (:data:`~repro.experiments.probes.SWEEP_PROBES`, for Table 1 and
+    Figs. 6, 9 and 11) and the analytic-model validation
+    (:func:`~repro.simulation.validate_model`) — each sweeps one
+    workload over many buffer capacities.  The figures themselves
+    plot the model; only Table 1 simulates.
 
     Returns one :class:`~repro.simulation.SimulationResult` per entry
     of ``buffer_sizes`` (in order), each bit-exact against the result

@@ -310,7 +310,7 @@ class TestShardLockGuards:
 
 
 class TestTelemetryDiscipline:
-    """The telemetry sink's window state is lock-guarded."""
+    """The telemetry sink's recent-tick list is lock-guarded."""
 
     def make_sink(self, writer=None):
         from repro.obs.telemetry import TelemetrySink
@@ -328,14 +328,14 @@ class TestTelemetryDiscipline:
 
     def test_unguarded_window_mutation_raises(self, sanitizer):
         _, sink = self.make_sink()
-        with pytest.raises(SanitizerError, match="_window_deltas"):
-            sink._window_deltas.append((1, 1, 0))
+        with pytest.raises(SanitizerError, match="_recent"):
+            sink._recent.append({})
 
     def test_guarded_mutation_is_allowed(self, sanitizer):
         _, sink = self.make_sink()
         with sink._lock:
-            sink._window_deltas.append((1, 1, 0))
-        assert len(sink._window_deltas) == 1
+            sink._recent.append({})
+        assert len(sink._recent) == 1
 
     def test_tick_path_stays_legal(self, sanitizer):
         service, sink = self.make_sink()
@@ -347,7 +347,7 @@ class TestTelemetryDiscipline:
             tick = sink.tick()
         assert tick["seq"] == 2
         assert (
-            tick["cumulative"]["aggregate"]["requests"]
+            sum(row["requests"] for row in tick["shards"])
             == service.pool.aggregate_stats().requests
         )
 
@@ -355,7 +355,6 @@ class TestTelemetryDiscipline:
         from repro.serving import LoadGenerator
 
         service, sink = self.make_sink()
-        service.telemetry = sink
         generator = LoadGenerator(
             service, rate_qps=50_000, n_queries=400, seed=3
         )

@@ -207,8 +207,11 @@ class TestServeMode:
                 TINY_SERVE_PROBE.buffer_size,
             ).hit_ratio
         )
-        final = ticks[-1]["cumulative"]["aggregate"]
-        assert final == report.buffer_aggregate
+        final = ticks[-1]["shards"]
+        assert final == [
+            {key: row[key] for key in final[0]}
+            for row in report.buffer_per_shard
+        ]
 
     def test_serve_requires_metrics_out(self, stub_experiment, capsys):
         with pytest.raises(SystemExit):
@@ -266,7 +269,7 @@ class TestTelemetryOut:
         header, ticks = read_telemetry(stream)
         assert header["config"]["dataset"] == "point"
         assert (
-            ticks[-1]["cumulative"]["aggregate"]["requests"]
+            sum(row["requests"] for row in ticks[-1]["shards"])
             == doc["serving"]["buffer"]["aggregate"]["requests"]
         )
 

@@ -9,6 +9,7 @@ import pytest
 from repro.obs import (
     SCHEMA_NAME,
     SCHEMA_VERSION,
+    TELEMETRY_SCHEMA,
     experiment_document,
     load_report,
     metrics_report,
@@ -198,7 +199,7 @@ class TestServingSection:
     def make_telemetry(self):
         """A pointer block that reconciles with :meth:`make_report`."""
         return {
-            "schema": "repro-telemetry/1",
+            "schema": TELEMETRY_SCHEMA,
             "path": "telemetry.jsonl",
             "interval_s": 0.1,
             "ticks": 3,
@@ -312,6 +313,11 @@ class TestServingSection:
     def test_reconciling_telemetry_pointer_passes(self):
         doc = self.make_document(telemetry=self.make_telemetry())
         validate_document(doc)
+        # A pointer to a version 1 stream has the same shape, so
+        # documents written before the stream's version 2 still load.
+        telemetry = self.make_telemetry()
+        telemetry["schema"] = "repro-telemetry/1"
+        validate_document(self.make_document(telemetry=telemetry))
 
     def test_telemetry_aggregate_mismatch_rejected(self):
         telemetry = self.make_telemetry()

@@ -52,34 +52,48 @@ class TestRecording:
 
 
 class TestSnapshotAndReset:
-    def test_drains_everything_and_resets(self):
-        recorder = LatencyRecorder()
-        recorder.record_many_ns(np.array([3000, 1000, 2000], dtype=np.int64))
-        taken = recorder.snapshot_and_reset()
-        assert sorted(taken.tolist()) == [1000, 2000, 3000]
-        assert recorder.count == 0
-        assert recorder.samples_ns().size == 0
+    """Incremental reads (``samples_since``) and their meeting with
+    :meth:`~repro.obs.LatencyRecorder.reset`."""
 
     def test_empty_snapshot_is_an_empty_array(self):
         recorder = LatencyRecorder()
-        taken = recorder.snapshot_and_reset()
+        taken, _ = recorder.samples_since(None)
         assert taken.size == 0 and taken.dtype == np.int64
 
     def test_second_snapshot_sees_only_new_samples(self):
         recorder = LatencyRecorder()
         recorder.record_ns(1000)
-        recorder.snapshot_and_reset()
+        first, cursor = recorder.samples_since(None)
+        assert first.tolist() == [1000]
         recorder.record_ns(2000)
-        assert recorder.snapshot_and_reset().tolist() == [2000]
+        second, cursor = recorder.samples_since(cursor)
+        assert second.tolist() == [2000]
+        assert recorder.samples_since(cursor)[0].size == 0
+        assert recorder.count == 2  # reading never removes samples
+
+    def test_drains_everything_and_resets(self):
+        recorder = LatencyRecorder()
+        recorder.record_many_ns(np.array([3000, 1000, 2000], dtype=np.int64))
+        _, cursor = recorder.samples_since(None)
+        recorder.record_ns(5000)
+        recorder.reset()
+        assert recorder.count == 0
+        assert recorder.samples_ns().size == 0
+        # A read across the reset restarts there: only what came after.
+        recorder.record_ns(4000)
+        taken, _ = recorder.samples_since(cursor)
+        assert taken.tolist() == [4000]
 
     def test_concurrent_soak_loses_nothing(self):
-        # Writers race a snapshotter: every recorded sample must land
-        # in exactly one snapshot (or the final remainder) — the swap
-        # is atomic, so no chunk may be split or dropped.  Runs under
-        # REPRO_SANITIZE=1 in CI like the rest of the suite.
+        # Writers race an incremental reader: every recorded sample
+        # must land in exactly one read (or the final remainder) — the
+        # chunk list is sliced under the lock, so no chunk may be split,
+        # dropped or read twice.  Runs under REPRO_SANITIZE=1 in CI
+        # like the rest of the suite.
         recorder = LatencyRecorder()
         n_writers, per_writer = 4, 2000
         collected: list[np.ndarray] = []
+        cursor = None
         done = threading.Event()
 
         def write(seed: int) -> None:
@@ -89,26 +103,30 @@ class TestSnapshotAndReset:
             ):
                 recorder.record_many_ns(chunk.astype(np.int64))
 
-        def snapshot() -> None:
+        def read() -> None:
+            nonlocal cursor
             while not done.is_set():
-                collected.append(recorder.snapshot_and_reset())
+                taken, cursor = recorder.samples_since(cursor)
+                collected.append(taken)
 
         writers = [
             threading.Thread(target=write, args=(seed,))
             for seed in range(n_writers)
         ]
-        taker = threading.Thread(target=snapshot)
-        taker.start()
+        reader = threading.Thread(target=read)
+        reader.start()
         for t in writers:
             t.start()
         for t in writers:
             t.join()
         done.set()
-        taker.join()
-        collected.append(recorder.snapshot_and_reset())
-        total = sum(chunk.size for chunk in collected)
-        assert total == n_writers * per_writer
-        assert recorder.count == 0
+        reader.join()
+        collected.append(recorder.samples_since(cursor)[0])
+        everything = np.concatenate(collected)
+        assert everything.size == n_writers * per_writer
+        assert sorted(everything.tolist()) == sorted(
+            recorder.samples_ns().tolist()
+        )
 
 
 class TestPercentiles:

@@ -11,14 +11,15 @@ from repro.obs import (
     chrome_trace,
     current_tracer,
     folded_stacks,
-    parse_chrome_trace,
     span,
-    span_tree,
     use_tracer,
     write_chrome_trace,
     write_folded,
 )
 from repro.obs.spans import TRACE_SCHEMA
+from repro.queries import UniformPointWorkload
+from repro.simulation import simulate
+from tests.obs.test_levels import two_level_description
 
 
 def fake_clock(step_ns: int = 10):
@@ -30,6 +31,18 @@ def fake_clock(step_ns: int = 10):
         return state["now"]
 
     return tick
+
+
+def span_events(payload):
+    """The complete (``"ph": "X"``) events of a Chrome-trace payload."""
+    return [e for e in payload["traceEvents"] if e["ph"] == "X"]
+
+
+def parent_ids(events):
+    """``{span_id: parent_id}`` read from the events' args."""
+    return {
+        e["args"]["span_id"]: e["args"].get("parent_id") for e in events
+    }
 
 
 @pytest.fixture
@@ -189,7 +202,7 @@ class TestChromeTrace:
         assert args["ok"] is True
         assert args["none"] is None
 
-    def test_round_trip_preserves_tree(self, tracer):
+    def test_round_trip_preserves_tree(self, tracer, tmp_path):
         with tracer.span("root"):
             with tracer.span("left"):
                 with tracer.span("leaf"):
@@ -197,22 +210,11 @@ class TestChromeTrace:
             with tracer.span("right"):
                 pass
         spans = tracer.finished()
-        nodes = parse_chrome_trace(chrome_trace(spans))
-        assert span_tree(nodes) == span_tree(spans)
-        assert [n.name for n in nodes] == [s.name for s in spans]
-
-    def test_parse_rejects_non_trace(self):
-        with pytest.raises(ValueError, match="traceEvents"):
-            parse_chrome_trace({"schema": "nope"})
-
-    def test_parse_rejects_missing_span_id(self):
-        payload = {
-            "traceEvents": [
-                {"name": "x", "ph": "X", "ts": 0, "dur": 1, "args": {}}
-            ]
-        }
-        with pytest.raises(ValueError, match="span_id"):
-            parse_chrome_trace(payload)
+        path = tmp_path / "trace.json"
+        write_chrome_trace(path, spans)
+        events = span_events(json.loads(path.read_text()))
+        assert parent_ids(events) == {s.span_id: s.parent_id for s in spans}
+        assert [e["name"] for e in events] == [s.name for s in spans]
 
 
 class TestFoldedStacks:
@@ -236,7 +238,7 @@ class TestFoldedStacks:
         write_folded(folded_path, tracer.finished())
         payload = json.loads(trace_path.read_text())
         assert payload["profile"] == {"x": 1}
-        assert parse_chrome_trace(payload)[0].name == "root"
+        assert span_events(payload)[0]["name"] == "root"
         assert folded_path.read_text().startswith("root ")
 
 
@@ -268,12 +270,14 @@ class TestCpuTime:
         event = chrome_trace(t.finished())["traceEvents"][1]
         assert event["args"]["cpu_us"] == 4.0
 
-    def test_round_trip_preserves_cpu_us(self):
+    def test_round_trip_preserves_cpu_us(self, tmp_path):
         t = Tracer(clock=fake_clock(10), cpu_clock=fake_clock(5000))
         with t.span("a"):
             pass
-        (node,) = parse_chrome_trace(chrome_trace(t.finished()))
-        assert node.cpu_us == 5.0
+        path = tmp_path / "trace.json"
+        write_chrome_trace(path, t.finished())
+        (event,) = span_events(json.loads(path.read_text()))
+        assert event["args"]["cpu_us"] == 5.0
 
     def test_folded_cpu_metric(self):
         t = Tracer(clock=fake_clock(1000), cpu_clock=fake_clock(2000))
@@ -288,3 +292,56 @@ class TestCpuTime:
     def test_folded_rejects_unknown_metric(self):
         with pytest.raises(ValueError, match="unknown metric"):
             folded_stacks([], metric="gpu")
+
+
+class TestExportRoundTrips:
+    """A simulated run's span tree survives the written Chrome trace
+    intact, with its run attributes and nesting."""
+
+    @pytest.fixture
+    def traced_run(self):
+        """Simulate with the process tracer installed; yield the tracer."""
+        tracer = Tracer()
+        previous = use_tracer(tracer)
+        try:
+            simulate(
+                two_level_description(),
+                UniformPointWorkload(),
+                buffer_size=3,
+                n_batches=2,
+                batch_size=50,
+            )
+            yield tracer
+        finally:
+            use_tracer(previous)
+
+    def test_simulate_spans_round_trip(self, traced_run, tmp_path):
+        spans = traced_run.finished()
+        names = {s.name for s in spans}
+        assert {"simulate", "simulate.measure", "simulate.batch"} <= names
+        path = tmp_path / "trace.json"
+        write_chrome_trace(path, spans)
+        events = span_events(json.loads(path.read_text()))
+        assert parent_ids(events) == {s.span_id: s.parent_id for s in spans}
+        # Batch spans keep their indices through the round-trip.
+        batches = sorted(
+            e["args"]["batch"] for e in events
+            if e["name"] == "simulate.batch"
+        )
+        assert batches == [0, 1]
+
+    def test_root_span_carries_run_attributes(self, traced_run):
+        root = next(s for s in traced_run.finished() if s.name == "simulate")
+        assert root.parent_id is None
+        assert root.attrs["buffer_size"] == 3
+        assert root.attrs["n_batches"] == 2
+        assert "backend" in root.attrs
+
+    def test_chrome_trace_events_nest_within_root(self, traced_run):
+        events = span_events(chrome_trace(traced_run.finished()))
+        root = next(e for e in events if e["name"] == "simulate")
+        t0, t1 = root["ts"], root["ts"] + root["dur"]
+        for event in events:
+            if event["args"].get("parent_id") == root["args"]["span_id"]:
+                assert t0 <= event["ts"]
+                assert event["ts"] + event["dur"] <= t1 + 1e-6

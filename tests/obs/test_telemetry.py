@@ -1,4 +1,4 @@
-"""The telemetry stream: SLO accounting, tick invariants, model convergence.
+"""The telemetry stream: SLO accounting, tick samples, derived deltas.
 
 Everything here drives the sink *synchronously* — ``service.process``
 plus explicit ``sink.tick()`` calls under an injected fake clock — so
@@ -16,17 +16,27 @@ import numpy as np
 import pytest
 
 from repro.datasets import synthetic_region
+from repro.experiments.common import get_description
 from repro.model import buffer_model
 from repro.obs import (
     SLOMonitor,
     TelemetrySink,
+    derive_ticks,
     read_telemetry,
     validate_telemetry,
 )
+from repro.obs.telemetry import _latency_window_us
 from repro.packing import load_description, pack_description
 from repro.queries import UniformPointWorkload
 from repro.serving import QueryService
 from tests.conftest import random_rects
+
+FIELDS = ("requests", "hits", "misses", "evictions")
+
+TICK_FIELDS = {
+    "kind", "seq", "elapsed_s", "queue_depth", "queries", "batches",
+    "resets", "shards", "latency_us", "slo",
+}
 
 
 class FakeClock:
@@ -64,6 +74,18 @@ def drive(service, sink, clock, *, ticks=5, queries_per_tick=100, seed=0):
         sink.tick()
 
 
+def shard_rows(service):
+    return [
+        {f: getattr(stats, f) for f in FIELDS}
+        for stats in service.pool.shard_stats()
+    ]
+
+
+def parse(text):
+    lines = [json.loads(line) for line in text.splitlines()]
+    return lines[0], lines[1:]
+
+
 class TestSLOMonitor:
     def test_needs_at_least_one_target(self):
         with pytest.raises(ValueError, match="at least one target"):
@@ -78,7 +100,7 @@ class TestSLOMonitor:
             {"hit_ratio_floor": -0.1},
             {"p99_target_us": 100.0, "budget": 0.0},
             {"p99_target_us": 100.0, "budget": 1.5},
-            {"p99_target_us": 100.0, "window": 0},
+            {"p99_target_us": 100.0, "slow_window": 0},
             {"p99_target_us": 100.0, "fast_window": 0},
             {"p99_target_us": 100.0, "fast_window": 5, "slow_window": 3},
         ],
@@ -88,7 +110,7 @@ class TestSLOMonitor:
             SLOMonitor(**kwargs)
 
     def test_burn_accounting(self):
-        slo = SLOMonitor(p99_target_us=100.0, budget=0.25, window=2)
+        slo = SLOMonitor(p99_target_us=100.0, budget=0.25)
         good = slo.observe(p99_us=50.0, hit_ratio=None, requests=10)
         assert good["counted"] and not good["bad"]
         bad = slo.observe(p99_us=150.0, hit_ratio=None, requests=10)
@@ -100,12 +122,15 @@ class TestSLOMonitor:
         assert summary["budget_exhausted"]
 
     def test_window_burn_uses_trailing_ticks_only(self):
-        slo = SLOMonitor(p99_target_us=100.0, budget=1.0, window=2)
+        slo = SLOMonitor(
+            p99_target_us=100.0, budget=1.0, fast_window=1, slow_window=2
+        )
         slo.observe(p99_us=500.0, hit_ratio=None, requests=1)  # bad
         slo.observe(p99_us=1.0, hit_ratio=None, requests=1)
         slo.observe(p99_us=1.0, hit_ratio=None, requests=1)
         summary = slo.summary()
-        assert summary["window_burn_rate"] == 0.0  # bad tick aged out
+        # The bad tick aged out of both windows, not out of the run.
+        assert summary["fast_burn_rate"] == summary["slow_burn_rate"] == 0.0
         assert summary["bad_fraction"] == pytest.approx(1 / 3)
 
     def test_hit_ratio_floor_violation(self):
@@ -212,29 +237,31 @@ class TestSyncDrive:
             config={"dataset": "unit"},
             model={"hit_ratio": 0.5},
         )
-        service.telemetry = sink
         drive(service, sink, clock, ticks=ticks, seed=seed)
         return service, out.getvalue()
 
-    def parse(self, text):
-        lines = [json.loads(line) for line in text.splitlines()]
-        return lines[0], lines[1:]
-
     def test_header_then_ticks_round_trip(self, desc):
         service, text = self.make_stream(desc)
-        header, ticks = self.parse(text)
+        header, ticks = parse(text)
         validate_telemetry(header, ticks)
-        assert header["shards"] == 2
-        assert header["capacity"] == service.pool.capacity
         assert header["shard_capacities"] == list(
             service.pool.shard_capacities()
         )
         assert header["policy"] == service.pool.policy
         assert header["config"] == {"dataset": "unit"}
         assert header["model"] == {"hit_ratio": 0.5}
+        assert "shards" not in header and "capacity" not in header
         assert len(ticks) == 5
         assert [t["seq"] for t in ticks] == list(range(5))
         assert ticks[0]["elapsed_s"] == pytest.approx(0.1)
+        # Each sampled number once: totals, reset count, cumulative
+        # per-shard rows; every delta and window is derived.
+        for tick in ticks:
+            assert set(tick) == TICK_FIELDS
+            for row in tick["shards"]:
+                assert set(row) == set(FIELDS)
+        assert ticks[-1]["queries"] == service.queries_served == 500
+        assert ticks[-1]["shards"] == shard_rows(service)
 
     def test_stream_is_deterministic(self, desc):
         _, first = self.make_stream(desc, seed=9)
@@ -244,30 +271,23 @@ class TestSyncDrive:
     @pytest.mark.parametrize("shards", [1, 2, 8])
     def test_tick_sums_reconcile(self, desc, shards):
         service, text = self.make_stream(desc, shards=shards, ticks=4)
-        header, ticks = self.parse(text)
+        header, ticks = parse(text)
         validate_telemetry(header, ticks)
-        final = ticks[-1]["cumulative"]
+        assert ticks[-1]["shards"] == shard_rows(service)
+        # Without resets the derived deltas add up to the final counters.
+        derived = derive_ticks(ticks, header["window"])
         agg = service.pool.aggregate_stats().as_dict()
-        assert final["aggregate"] == agg
-        per_shard = [s.as_dict() for s in service.pool.shard_stats()]
-        for row, stats in zip(final["shards"], per_shard):
-            assert {f: row[f] for f in stats} == stats
-        # Delta ticks sum to the final cumulative aggregate.
-        for field in ("requests", "hits", "misses", "evictions"):
-            assert sum(t["aggregate"][field] for t in ticks) == agg[field]
+        for field in FIELDS:
+            assert sum(d["aggregate"][field] for d in derived) == agg[field]
 
     def test_window_is_a_sliding_sum(self, desc):
         _, text = self.make_stream(desc, ticks=5, window=3)
-        _, ticks = self.parse(text)
-        last = ticks[-1]
-        tail = ticks[-3:]
-        assert last["window"]["ticks"] == 3
-        assert last["window"]["requests"] == sum(
-            t["aggregate"]["requests"] for t in tail
-        )
-        assert last["window"]["hit_ratio"] == pytest.approx(
-            sum(t["aggregate"]["hits"] for t in tail)
-            / sum(t["aggregate"]["requests"] for t in tail)
+        header, ticks = parse(text)
+        derived = derive_ticks(ticks, header["window"])
+        tail = derived[-3:]
+        assert derived[-1]["hit_ratio"] == pytest.approx(
+            sum(d["aggregate"]["hits"] for d in tail)
+            / sum(d["aggregate"]["requests"] for d in tail)
         )
 
     def test_idle_tick_carries_no_signals(self, desc):
@@ -279,12 +299,15 @@ class TestSyncDrive:
         tick = sink.tick()  # no traffic yet
         assert tick["queries"] == 0
         assert tick["latency_us"] is None
-        assert tick["batch_occupancy"] is None
-        assert tick["window"]["hit_ratio"] is None
-        header, ticks = self.parse(out.getvalue())
+        header, ticks = parse(out.getvalue())
         validate_telemetry(header, ticks)
+        (derived,) = derive_ticks(ticks, header["window"])
+        assert derived["occupancy"] is None
+        assert derived["hit_ratio"] is None
 
     def test_counter_reset_rebases_the_tick(self, desc):
+        # The reset count, not a falling counter, marks the warm-up
+        # boundary: the next tick's deltas restart from zero.
         clock = FakeClock()
         service = make_service(desc)
         sink = TelemetrySink(service, writer=io.StringIO(), clock=clock)
@@ -292,16 +315,17 @@ class TestSyncDrive:
         service.process(service.workload.sample_points(200, rng))
         clock.advance_ms(100.0)
         first = sink.tick()
-        assert not first["rebased"]
+        assert first["resets"] == 0
         service.reset_measurement()  # warm-up boundary: counters zeroed
         service.process(service.workload.sample_points(50, rng))
         clock.advance_ms(100.0)
         second = sink.tick()
-        assert second["rebased"]
-        assert second["aggregate"]["requests"] == second["cumulative"][
-            "aggregate"
-        ]["requests"]
+        assert second["resets"] == 1
         validate_telemetry(sink.header, [first, second])
+        derived = derive_ticks([first, second], sink.window)
+        assert [d["reset"] for d in derived] == [False, True]
+        assert derived[1]["queries"] == 50
+        assert derived[1]["shards"] == shard_rows(service)
 
     def test_pointer_reflects_the_last_tick(self, desc):
         clock = FakeClock()
@@ -316,6 +340,9 @@ class TestSyncDrive:
             pointer["final"]["aggregate"]
             == service.pool.aggregate_stats().as_dict()
         )
+        assert [row.pop("shard_id") for row in pointer["final"]["shards"]] \
+            == [0, 1]
+        assert pointer["final"]["shards"] == shard_rows(service)
 
     def test_slo_block_lands_in_ticks_and_header(self, desc):
         clock = FakeClock()
@@ -324,7 +351,7 @@ class TestSyncDrive:
         out = io.StringIO()
         sink = TelemetrySink(service, writer=out, slo=slo, clock=clock)
         drive(service, sink, clock, ticks=3)
-        header, ticks = self.parse(out.getvalue())
+        header, ticks = parse(out.getvalue())
         validate_telemetry(header, ticks)
         assert header["slo"]["p99_target_us"] == 1e9
         last = ticks[-1]["slo"]
@@ -336,14 +363,133 @@ class TestSyncDrive:
         clock = FakeClock()
         service = make_service(desc)
         with TelemetrySink(service, path=str(path), clock=clock) as sink:
-            service.telemetry = sink
             drive(service, sink, clock, ticks=3)
         header, ticks = read_telemetry(str(path))
         assert header == sink.header
         assert len(ticks) == 4  # 3 driven + the final close() tick
-        assert (
-            ticks[-1]["cumulative"]["aggregate"]
-            == service.pool.aggregate_stats().as_dict()
+        assert ticks[-1]["shards"] == shard_rows(service)
+
+
+class TestResets:
+    """Deltas restart exactly where the reset count changes."""
+
+    @pytest.fixture(scope="class")
+    def table2_desc(self):
+        # Table 2's probe tree: 40,000 points, capacity 25, HS.
+        return get_description("point", 40_000, 25, "hs")
+
+    def test_tick_after_reset_reports_the_traffic_since(self, table2_desc):
+        service = QueryService(table2_desc, UniformPointWorkload(), 100)
+        clock = FakeClock()
+        out = io.StringIO()
+        sink = TelemetrySink(service, writer=out, clock=clock)
+        rng = np.random.default_rng(0)
+        service.process(service.workload.sample_points(100, rng))
+        sink.tick()
+        service.process(service.workload.sample_points(100, rng))
+        service.reset_measurement()
+        service.process(service.workload.sample_points(300, rng))
+        sink.tick()
+        header, ticks = parse(out.getvalue())
+        validate_telemetry(header, ticks)
+        second = derive_ticks(ticks, header["window"])[1]
+        assert second["reset"]
+        assert second["queries"] == 300
+        assert second["shards"] == shard_rows(service)
+        assert second["aggregate"] == service.aggregate_stats().as_dict()
+
+    def test_derivation_matches_a_brute_force_recount(self, desc):
+        # A seeded mix of process() chunks, ticks and resets.  The
+        # expected deltas are recounted chunk by chunk from the pool's
+        # counters captured around each process() call; a reset drops
+        # what the current tick had gathered.
+        window, max_batch, floor = 4, 32, 0.45
+        service = make_service(desc, shards=3, max_batch=max_batch)
+        clock = FakeClock()
+        out = io.StringIO()
+        sink = TelemetrySink(
+            service, window=window, writer=out, clock=clock,
+            slo=SLOMonitor(hit_ratio_floor=floor),
+        )
+        rng = np.random.default_rng(2024)
+        zero = [dict.fromkeys(FIELDS, 0) for _ in range(3)]
+        gathered = [dict(row) for row in zero]
+        queries = batches = 0
+        expected = []
+        for _ in range(60):
+            op = rng.choice(["process", "process", "tick", "reset"])
+            if op == "process":
+                n = int(rng.integers(1, 120))
+                before = shard_rows(service)
+                service.process(service.workload.sample_points(n, rng))
+                for row, old, new in zip(
+                    gathered, before, shard_rows(service)
+                ):
+                    for f in FIELDS:
+                        row[f] += new[f] - old[f]
+                queries += n
+                batches += -(-n // max_batch)
+            elif op == "reset":
+                service.reset_measurement()
+                gathered = [dict(row) for row in zero]
+                queries = batches = 0
+            else:
+                clock.advance_ms(100.0)
+                sink.tick()
+                expected.append((gathered, queries, batches))
+                gathered = [dict(row) for row in zero]
+                queries = batches = 0
+        header, ticks = parse(out.getvalue())
+        validate_telemetry(header, ticks)
+        derived = derive_ticks(ticks, window)
+        assert len(derived) == len(expected) > 5
+        assert any(d["reset"] for d in derived)
+        for i, (d, (rows, n_queries, n_batches)) in enumerate(
+            zip(derived, expected)
+        ):
+            assert d["shards"] == rows
+            assert d["queries"] == n_queries
+            assert d["batches"] == n_batches
+            trailing = expected[max(0, i - window + 1): i + 1]
+            requests = sum(r["requests"] for e in trailing for r in e[0])
+            hits = sum(r["hits"] for e in trailing for r in e[0])
+            ratio = hits / requests if requests else None
+            assert d["hit_ratio"] == ratio
+            # The sink derived its SLO input from its recent ticks only.
+            slo = ticks[i]["slo"]
+            assert slo["hit_ratio_violation"] == bool(
+                d["aggregate"]["requests"] and ratio is not None
+                and ratio < floor
+            )
+
+    @pytest.mark.parametrize("reset_between", [False, True])
+    def test_latency_window_is_the_samples_between_ticks(
+        self, desc, reset_between
+    ):
+        service = make_service(desc)
+        clock = FakeClock()
+        sink = TelemetrySink(service, writer=io.StringIO(), clock=clock)
+        rng = np.random.default_rng(5)
+
+        def serve(n):
+            points = service.workload.sample_points(n, rng)
+            arrivals = np.full(n, clock.now_ns, dtype=np.int64)
+            service.process(points, arrivals_ns=arrivals)
+
+        serve(40)
+        first = sink.tick()
+        assert first["latency_us"]["count"] == 40
+        seen = service.latency.count
+        serve(25)
+        if reset_between:
+            service.reset_measurement()
+            seen = 0
+        serve(30)
+        expected = service.latency.samples_ns()[seen:]
+        second = sink.tick()
+        assert second["latency_us"] == _latency_window_us(expected)
+        assert second["latency_us"]["count"] == (
+            30 if reset_between else 55
         )
 
 
@@ -352,7 +498,6 @@ class TestBackgroundTicker:
         path = tmp_path / "bg.jsonl"
         service = make_service(desc)
         sink = TelemetrySink(service, interval_s=0.005, path=str(path))
-        service.telemetry = sink
         sink.start()
         rng = np.random.default_rng(1)
         for _ in range(10):
@@ -361,14 +506,11 @@ class TestBackgroundTicker:
         sink.close()  # second close is a no-op
         header, ticks = read_telemetry(str(path))
         assert ticks  # at least the final tick
-        assert (
-            ticks[-1]["cumulative"]["aggregate"]
-            == service.pool.aggregate_stats().as_dict()
-        )
+        assert ticks[-1]["shards"] == shard_rows(service)
 
 
 class TestAcceptance:
-    """ISSUE acceptance: reconciliation, model convergence, zero impact."""
+    """Model convergence, and telemetry that observes without steering."""
 
     def test_windowed_hit_ratio_converges_to_model(self):
         # The Table 1 validation config at test scale: 20k rects, HS
@@ -389,14 +531,10 @@ class TestAcceptance:
             service, window=20, writer=out, clock=clock,
             model={"hit_ratio": predicted},
         )
-        service.telemetry = sink
         drive(service, sink, clock, ticks=40, queries_per_tick=500, seed=11)
-        header, ticks = (
-            json.loads(out.getvalue().splitlines()[0]),
-            [json.loads(s) for s in out.getvalue().splitlines()[1:]],
-        )
+        header, ticks = parse(out.getvalue())
         validate_telemetry(header, ticks)
-        final_ratio = ticks[-1]["window"]["hit_ratio"]
+        final_ratio = derive_ticks(ticks, header["window"])[-1]["hit_ratio"]
         assert abs(final_ratio - predicted) <= 0.02  # the paper's band
 
     def test_telemetry_leaves_serving_outputs_identical(self, desc):
@@ -407,13 +545,12 @@ class TestAcceptance:
                 sink = TelemetrySink(
                     service, writer=io.StringIO(), clock=clock
                 )
-                service.telemetry = sink
             rng = np.random.default_rng(5)
             for _ in range(4):
                 service.process(service.workload.sample_points(200, rng))
                 if with_sink:
                     clock.advance_ms(100.0)
-                    service.telemetry.tick()
+                    sink.tick()
             return (
                 service.queries_served,
                 service.batches_served,
@@ -431,8 +568,7 @@ class TestValidateRejections:
         out = io.StringIO()
         sink = TelemetrySink(service, writer=out, clock=clock)
         drive(service, sink, clock, ticks=3)
-        lines = [json.loads(s) for s in out.getvalue().splitlines()]
-        return lines[0], lines[1:]
+        return parse(out.getvalue())
 
     def test_wrong_schema_rejected(self, desc):
         header, ticks = self.make_valid(desc)
@@ -440,11 +576,17 @@ class TestValidateRejections:
         with pytest.raises(ValueError, match="schema"):
             validate_telemetry(header, ticks)
 
-    def test_capacity_sum_mismatch_rejected(self, desc):
+    def test_version_one_stream_rejected_naming_both(self, desc, tmp_path):
         header, ticks = self.make_valid(desc)
-        header["shard_capacities"][0] += 1
-        with pytest.raises(ValueError, match="capacit"):
-            validate_telemetry(header, ticks)
+        header["schema"] = "repro-telemetry/1"
+        path = tmp_path / "v1.jsonl"
+        path.write_text(
+            "".join(json.dumps(line) + "\n" for line in [header, *ticks])
+        )
+        with pytest.raises(ValueError) as info:
+            read_telemetry(str(path))
+        assert "repro-telemetry/1" in str(info.value)
+        assert "repro-telemetry/2" in str(info.value)
 
     def test_seq_gap_rejected(self, desc):
         header, ticks = self.make_valid(desc)
@@ -453,31 +595,33 @@ class TestValidateRejections:
             validate_telemetry(header, ticks)
 
     def test_shard_sum_drift_rejected(self, desc):
+        # A shard row's hits + misses must equal its requests.
         header, ticks = self.make_valid(desc)
         ticks[0]["shards"][0]["hits"] += 1
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="hits"):
             validate_telemetry(header, ticks)
 
-    def test_cumulative_additivity_enforced(self, desc):
+    def test_shard_row_count_checked(self, desc):
         header, ticks = self.make_valid(desc)
-        last = ticks[-1]["cumulative"]
-        last["shards"][0]["requests"] += 1
-        last["shards"][0]["hits"] += 1
-        last["aggregate"]["requests"] += 1
-        last["aggregate"]["hits"] += 1
-        with pytest.raises(ValueError, match="cumulative"):
+        ticks[2]["shards"].pop()
+        with pytest.raises(ValueError, match="shard rows"):
             validate_telemetry(header, ticks)
 
-    def test_window_sum_drift_rejected(self, desc):
+    def test_counter_falling_without_reset_rejected(self, desc):
         header, ticks = self.make_valid(desc)
-        ticks[-1]["window"]["requests"] += 1
-        with pytest.raises(ValueError, match="window"):
+        row = ticks[2]["shards"][1]
+        row["requests"] = row["hits"] = row["misses"] = 0
+        with pytest.raises(ValueError, match="without a reset"):
             validate_telemetry(header, ticks)
+        # The same drop behind a reset is a restart, not a fault.
+        for tick in ticks[2:]:
+            tick["resets"] = 1
+        validate_telemetry(header, ticks)
 
-    def test_occupancy_drift_rejected(self, desc):
+    def test_falling_reset_count_rejected(self, desc):
         header, ticks = self.make_valid(desc)
-        ticks[0]["batch_occupancy"] = 1.0
-        with pytest.raises(ValueError, match="occupancy"):
+        ticks[0]["resets"] = 2
+        with pytest.raises(ValueError, match="reset count"):
             validate_telemetry(header, ticks)
 
     def test_empty_stream_rejected(self, tmp_path):

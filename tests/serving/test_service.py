@@ -2,11 +2,13 @@
 
 from __future__ import annotations
 
+import threading
 import time
 
 import numpy as np
 import pytest
 
+from repro.experiments.common import get_description
 from repro.geometry import GeometryError
 from repro.packing import pack_description
 from repro.queries import (
@@ -17,6 +19,28 @@ from repro.queries import (
 from repro.serving import QueryService
 from repro.simulation import simulate
 from tests.conftest import random_rects
+
+
+class _StabFault(Exception):
+    """The fault a test stabber raises."""
+
+
+class _FailingStabber:
+    """Wraps a stabber: the first call waits for ``gate``; call
+    ``fail_on`` raises :class:`_StabFault`."""
+
+    def __init__(self, inner, fail_on: int) -> None:
+        self.inner = inner
+        self.fail_on = fail_on
+        self.calls = 0
+        self.gate = threading.Event()
+
+    def stab(self, points):
+        self.calls += 1
+        self.gate.wait(timeout=10.0)
+        if self.calls == self.fail_on:
+            raise _StabFault(f"stab call {self.calls} failed")
+        return self.inner.stab(points)
 
 
 @pytest.fixture(scope="module")
@@ -233,6 +257,49 @@ class TestAsyncAdmission:
         # must flush what is queued rather than drop it.
         service.stop()
         assert service.queries_served == 100
+
+    def test_failed_batch_stops_the_service(self):
+        # Table 2's probe tree; the stabber fails on its second batch.
+        # drain() runs in a daemon thread joined with a timeout, so a
+        # dispatcher that dies silently fails the test, not the run.
+        table2 = get_description("point", 40_000, 25, "hs")
+        workload = UniformPointWorkload()
+        points = workload.sample_points(40, np.random.default_rng(8))
+        service = QueryService(
+            table2, workload, 100, max_batch=8, max_wait_us=1e7
+        )
+        stabber = _FailingStabber(service._stabber, fail_on=2)
+        service._stabber = stabber
+        service.start()
+        try:
+            for point in points:
+                service.submit(point)
+            stabber.gate.set()  # all 40 queued: let the first batch run
+            outcome = {}
+
+            def drain():
+                try:
+                    service.drain()
+                except Exception as exc:
+                    outcome["error"] = exc
+
+            waiter = threading.Thread(target=drain, daemon=True)
+            waiter.start()
+            waiter.join(timeout=10.0)
+            assert not waiter.is_alive(), "drain() hung after a failure"
+            error = outcome.get("error")
+            assert isinstance(error, RuntimeError)
+            assert isinstance(error.__cause__, _StabFault)
+            assert service.queries_served == 8
+            assert service.queue_depth == 24
+            with pytest.raises(RuntimeError) as refused:
+                service.submit(points[0])
+            assert isinstance(refused.value.__cause__, _StabFault)
+        finally:
+            service.stop()  # joins and returns after a failure
+        assert not service.running
+        with pytest.raises(RuntimeError):
+            service.start()  # a failed service stays stopped
 
     def test_reset_measurement_keeps_contents(self, desc):
         workload = UniformPointWorkload()

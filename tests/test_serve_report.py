@@ -82,6 +82,28 @@ class TestRender:
         assert serve_report.main(["--width", "10", str(stream_path)]) == 0
         assert serve_report.main(["--width", "50", str(stream_path)]) == 0
 
+    def test_reset_is_marked_and_restarts_the_deltas(self, tmp_path, capsys):
+        path = tmp_path / "reset.jsonl"
+        rng = np.random.default_rng(4)
+        desc = pack_description(random_rects(rng, 400), 10, "hs")
+        service = QueryService(desc, UniformPointWorkload(), 16)
+        clock = _Clock()
+        with TelemetrySink(service, path=str(path), clock=clock) as sink:
+            for n, reset in ((120, False), (80, True), (60, False)):
+                service.process(service.workload.sample_points(n, rng))
+                if reset:
+                    service.reset_measurement()
+                    service.process(service.workload.sample_points(30, rng))
+                clock.now += 100_000_000
+                sink.tick()
+        assert serve_report.main([str(path)]) == 0
+        rows = [
+            line.split() for line in capsys.readouterr().out.splitlines()
+            if line.endswith("(reset)")
+        ]
+        assert len(rows) == 1
+        assert rows[0][0] == "1" and rows[0][3] == "30"  # tick, queries
+
     def test_bar_marks_the_model_prediction(self):
         bar = serve_report._bar(0.5, 20, 0.8)
         assert bar[:10] == "#" * 10

@@ -1,10 +1,11 @@
 #!/usr/bin/env python3
-"""Render a ``repro-telemetry/1`` JSONL stream as a terminal report.
+"""Render a ``repro-telemetry/2`` JSONL stream as a terminal report.
 
 The stream (written by ``repro-experiments --serve --telemetry-out``
 or any :class:`repro.obs.TelemetrySink`) is a header line plus one
-line per sampling tick.  This tool turns it into the three views the
-paper's claims need:
+line per sampling tick.  This tool turns it, through the deltas and
+windows :func:`repro.obs.telemetry.derive_ticks` derives, into the
+three views the paper's claims need:
 
 * **Hit-ratio convergence** — the windowed hit ratio per tick, drawn
   against the Eq. 5/6 model-predicted steady-state ratio carried in
@@ -16,17 +17,18 @@ paper's claims need:
   (``docs/SERVING.md``); the spread quantifies the price this run
   paid.
 * **SLO burn** — the monitor's final error-budget accounting: bad
-  ticks, cumulative and windowed burn rates.
+  ticks, the cumulative burn rate and the fast/slow alerting pair.
 
 Usage::
 
     python tools/serve_report.py telemetry-fig6.jsonl
     python tools/serve_report.py --width 40 telemetry.jsonl
 
-The stream is fully re-validated on load (sequence numbers, shard-sum
-reconciliation, window sums — see ``repro.obs.telemetry``); a stream
-that fails validation exits 1, because CI uploads this report as the
-artifact of record for the serving smoke run.
+The stream is re-validated on load (sequence numbers, shard rows,
+counters that never fall between resets, ordered percentiles — see
+``repro.obs.telemetry``); a stream that fails validation exits 1,
+because CI uploads this report as the artifact of record for the
+serving smoke run.
 """
 
 from __future__ import annotations
@@ -42,7 +44,7 @@ try:  # installed package (CI) or PYTHONPATH=src
 except ImportError:  # plain checkout: python tools/serve_report.py
     sys.path.insert(0, str(REPO_ROOT / "src"))
 
-from repro.obs.telemetry import read_telemetry
+from repro.obs.telemetry import derive_ticks, read_telemetry
 
 __all__ = ["main", "render"]
 
@@ -84,6 +86,8 @@ def render(header: dict, ticks: list[dict], width: int = 30) -> str:
     model = header.get("model") or {}
     predicted = model.get("hit_ratio")
     config = header.get("config", {})
+    capacities = header["shard_capacities"]
+    derived = derive_ticks(ticks, header["window"])
 
     lines.append("serving telemetry report")
     lines.append("=" * 60)
@@ -95,7 +99,7 @@ def render(header: dict, ticks: list[dict], width: int = 30) -> str:
     if described:
         lines.append(f"config: {described}")
     lines.append(
-        f"shards: {header['shards']}  capacity: {header['capacity']} "
+        f"shards: {len(capacities)}  capacity: {sum(capacities)} "
         f"pages  policy: {header['policy']}  "
         f"interval: {header['interval_s'] * 1000:.0f} ms  "
         f"window: {header['window']} ticks  ticks: {len(ticks)}"
@@ -116,18 +120,17 @@ def render(header: dict, ticks: list[dict], width: int = 30) -> str:
         f"(| = model)"
     )
     lines.append("-" * (62 + width))
-    for tick in ticks:
-        window = tick["window"]
+    for tick, row in zip(ticks, derived):
         latency = tick.get("latency_us")
-        occupancy = tick.get("batch_occupancy")
+        occupancy = row["occupancy"]
         lines.append(
             f"{tick['seq']:>4}  {tick['elapsed_s']:>7.2f}  "
-            f"{tick['queue_depth']:>5}  {tick['queries']:>6}  "
+            f"{tick['queue_depth']:>5}  {row['queries']:>6}  "
             f"{'-' if occupancy is None else format(occupancy, '6.0f')}  "
-            f"{_fmt_ratio(window['hit_ratio'])}  "
+            f"{_fmt_ratio(row['hit_ratio'])}  "
             f"{_fmt_us(latency['p99'] if latency else None)}  "
-            f"[{_bar(window['hit_ratio'], width, predicted)}]"
-            f"{'  (rebased)' if tick.get('rebased') else ''}"
+            f"[{_bar(row['hit_ratio'], width, predicted)}]"
+            f"{'  (reset)' if row['reset'] else ''}"
         )
     lines.append("")
 
@@ -135,27 +138,26 @@ def render(header: dict, ticks: list[dict], width: int = 30) -> str:
     # Convergence vs the Eq. 5/6 prediction
     # ------------------------------------------------------------------
     if predicted is not None:
-        converged_at = None
-        for tick in ticks:
-            ratio = tick["window"]["hit_ratio"]
-            if ratio is not None and abs(ratio - predicted) <= CONVERGENCE_BAND:
-                converged_at = tick
-                break
-        final_ratio = next(
+        ratios = [row["hit_ratio"] for row in derived]
+        converged_at = next(
             (
-                tick["window"]["hit_ratio"]
-                for tick in reversed(ticks)
-                if tick["window"]["hit_ratio"] is not None
+                (tick, ratio)
+                for tick, ratio in zip(ticks, ratios)
+                if ratio is not None
+                and abs(ratio - predicted) <= CONVERGENCE_BAND
             ),
             None,
         )
+        final_ratio = next(
+            (ratio for ratio in reversed(ratios) if ratio is not None), None
+        )
         lines.append("convergence vs model (paper's 2% band):")
         if converged_at is not None:
+            tick, ratio = converged_at
             lines.append(
                 f"  first tick within ±{CONVERGENCE_BAND:.0%}: "
-                f"tick {converged_at['seq']} "
-                f"(t={converged_at['elapsed_s']:.2f}s, "
-                f"ratio {converged_at['window']['hit_ratio']:.4f})"
+                f"tick {tick['seq']} (t={tick['elapsed_s']:.2f}s, "
+                f"ratio {ratio:.4f})"
             )
         else:
             lines.append(
@@ -171,40 +173,32 @@ def render(header: dict, ticks: list[dict], width: int = 30) -> str:
     # ------------------------------------------------------------------
     # Per-shard imbalance (final cumulative counters)
     # ------------------------------------------------------------------
-    final = ticks[-1]["cumulative"] if ticks else None
-    if final is not None:
+    if ticks:
+        final = ticks[-1]["shards"]
         lines.append("per-shard totals (final tick):")
         lines.append(
             f"  {'shard':>5}  {'capacity':>8}  {'requests':>9}  "
             f"{'hits':>9}  {'evictions':>9}  {'hit ratio':>9}"
         )
         ratios = []
-        total_requests = max(1, final["aggregate"]["requests"])
-        capacities = header.get("shard_capacities", [])
-        for row in final["shards"]:
+        total_requests = max(1, sum(row["requests"] for row in final))
+        for shard, (row, capacity) in enumerate(zip(final, capacities)):
             ratio = (
                 row["hits"] / row["requests"] if row["requests"] else None
             )
             if ratio is not None:
                 ratios.append(ratio)
-            capacity = (
-                capacities[row["shard_id"]]
-                if row["shard_id"] < len(capacities)
-                else "-"
-            )
             lines.append(
-                f"  {row['shard_id']:>5}  {capacity:>8}  "
+                f"  {shard:>5}  {capacity:>8}  "
                 f"{row['requests']:>9}  {row['hits']:>9}  "
                 f"{row['evictions']:>9}  {_fmt_ratio(ratio):>9}"
             )
         if len(ratios) > 1:
-            shares = [
-                row["requests"] / total_requests for row in final["shards"]
-            ]
+            shares = [row["requests"] / total_requests for row in final]
             lines.append(
                 f"  hit-ratio spread: {max(ratios) - min(ratios):.4f}  "
                 f"request share: {min(shares):.2%}..{max(shares):.2%} "
-                f"(even would be {1 / len(final['shards']):.2%})"
+                f"(even would be {1 / len(final):.2%})"
             )
         lines.append("")
 
@@ -231,22 +225,16 @@ def render(header: dict, ticks: list[dict], width: int = 30) -> str:
         lines.append(
             f"  counted ticks: {last_slo['ticks']}  bad: "
             f"{last_slo['bad_ticks']}  burn rate: "
-            f"{last_slo['burn_rate']:.2f}x  window burn: "
-            f"{last_slo['window_burn_rate']:.2f}x  "
+            f"{last_slo['burn_rate']:.2f}x  "
             f"{'BUDGET EXHAUSTED' if last_slo['budget_exhausted'] else 'within budget'}"
         )
-        # Multiwindow alerting (fast + slow burn) — absent from streams
-        # written before the multiwindow monitor landed.
-        if "alerting" in last_slo:
-            fast = slo_header.get("fast_window")
-            slow = slo_header.get("slow_window")
-            lines.append(
-                f"  fast burn ({fast} ticks): "
-                f"{last_slo['fast_burn_rate']:.2f}x  "
-                f"slow burn ({slow} ticks): "
-                f"{last_slo['slow_burn_rate']:.2f}x  "
-                f"{'ALERTING (both windows burning)' if last_slo['alerting'] else 'not alerting'}"
-            )
+        lines.append(
+            f"  fast burn ({slo_header['fast_window']} ticks): "
+            f"{last_slo['fast_burn_rate']:.2f}x  "
+            f"slow burn ({slo_header['slow_window']} ticks): "
+            f"{last_slo['slow_burn_rate']:.2f}x  "
+            f"{'ALERTING (both windows burning)' if last_slo['alerting'] else 'not alerting'}"
+        )
         lines.append("")
 
     return "\n".join(lines)
@@ -257,7 +245,7 @@ def main(argv: list[str] | None = None) -> int:
         description=__doc__,
         formatter_class=argparse.RawDescriptionHelpFormatter,
     )
-    parser.add_argument("stream", help="a repro-telemetry/1 JSONL file")
+    parser.add_argument("stream", help="a repro-telemetry/2 JSONL file")
     parser.add_argument(
         "--width",
         type=int,

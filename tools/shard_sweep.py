@@ -10,9 +10,9 @@ cost?*
 This tool answers it with data.  For each K in 1..``--max-shards`` it
 replays one experiment's serving probe (same tree, workload, buffer
 and seeded arrival schedule every time), captures the run's
-``repro-telemetry/1`` stream, and reads the *final cumulative tick* —
-the shard-reconciled counters the stream validator guarantees — to
-chart, per K:
+``repro-telemetry/2`` stream, and reads the *final tick's* per-shard
+counters — the ones the metrics document's ``serving.telemetry``
+pointer reconciles with the load report — to chart, per K:
 
 * the aggregate hit ratio against the Eq. 5/6 single-LRU prediction
   carried in each stream's header (the paper's §4 bar is 2% absolute);
@@ -69,8 +69,9 @@ def sweep(
 
     Each run writes ``shards-K.jsonl`` under ``out_dir``; rows are
     derived exclusively from the re-validated stream (header model
-    block + final tick cumulative section), never from in-process
-    state — the tool consumes the telemetry contract, nothing more.
+    block + the final tick's per-shard counters), never from
+    in-process state — the tool consumes the telemetry contract,
+    nothing more.
     """
     spec = SERVE_PROBES[experiment]
     if queries is not None:
@@ -82,11 +83,14 @@ def sweep(
         path = os.path.join(out_dir, f"shards-{shards}.jsonl")
         run_serve_probe(spec, shards=shards, telemetry_out=path)
         header, ticks = read_telemetry(path)
-        final = ticks[-1]["cumulative"]
-        agg = final["aggregate"]
+        final = ticks[-1]["shards"]
+        agg = {
+            key: sum(row[key] for row in final)
+            for key in ("requests", "hits", "misses")
+        }
         per_shard = [
             row["hits"] / row["requests"] if row["requests"] else None
-            for row in final["shards"]
+            for row in final
         ]
         known = [r for r in per_shard if r is not None]
         n_queries = header["config"]["n_queries"]
